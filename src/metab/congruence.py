@@ -2,11 +2,16 @@
 
 Words are strings over S, T and their inverses s, t, evaluated left to
 right in the fixed convention M_S = [[0,-1],[1,0]], M_T = [[1,0],[1,1]]
-(the abelianized Nielsen moves).  `gamma_schreier(e)` runs a breadth-first
-coset enumeration of SL2(Z) over SL2(Z/e) and returns Schreier generator
-words for the principal congruence subgroup Gamma(e); an action factors
-through level e exactly when all of them act trivially, which is what
-`verify_action_level` certifies.  `one_plus_eX_check` tests the three
+(the abelianized Nielsen moves).  `gamma_schreier(e)` is the coset table of
+SL2(Z) over SL2(Z/e): a BFS from I under the four letters, one numpy
+frontier of encoded matrices per level.  Its non-tree edges x -L-> y are the
+3N + 1 Schreier generators w_x L w_y^-1 of Gamma(e), w_x the tree word of x.
+An action factors through level e exactly when all of them act trivially.
+`verify_action_level` checks this without spelling a word: each state
+carries the class permutation P_x of w_x, a tree edge sets
+P_y = letter_perm(L)[P_x], and every non-tree edge must satisfy
+letter_perm(L)[P_x] == P_y.  The budget is checked against the closed form
+`sl2_order(e)` before any enumeration.  `one_plus_eX_check` tests the three
 explicit generators 1 + e X_i whose triviality forces Gamma(e) into every
 stabilizer, and `wohlfahrt_level` reads the generalized level off the
 T-cycle structure (cusp widths).
@@ -14,15 +19,17 @@ T-cycle structure (cusp widths).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
 from .errors import BudgetError
-from .nielsen import IDENT2, M_S, M_T, ActionTable, mat_inv_mod, mat_mod, mat_mul, orbits
+from .nielsen import (IDENT2, M_S, M_T, ActionTable, first_new, mat_encode, mat_mul, mul_codes,
+                      orbits, sl2_order)
 
+LETTERS = "STst"
 _LETTER_MATS = {
     "S": M_S,
     "T": M_T,
@@ -37,10 +44,6 @@ def evaluate_word(word: str):
     for letter in word:
         out = mat_mul(out, _LETTER_MATS[letter])
     return out
-
-
-def invert_word(word: str) -> str:
-    return word[::-1].swapcase()
 
 
 def word_from_matrix(M) -> str:
@@ -86,43 +89,65 @@ def word_from_matrix(M) -> str:
     return word
 
 
-@lru_cache(maxsize=None)
-def _coset_enumeration(e: int, budget: int = 200_000):
-    """BFS over SL2(Z/e): transversal words, state order, Schreier words."""
+@dataclass(frozen=True, eq=False)
+class CosetTable:
+    """SL2(Z/e) as the BFS coset table of SL2(Z) under the letters S, T, s, t.
+
+    `states` holds the encoded matrices (`mat_encode`) in BFS order and
+    `levels[k]` the index of the first state at distance k from I, with N
+    last.  `nbr[x, j]` is the state x * LETTERS[j]; `parent[y]` = 4x + j
+    names the tree edge into y (-1 at I).  `schreier` lists the 3N + 1
+    non-tree edges 4x + j in BFS order, the Schreier generators of Gamma(e).
+    """
+
+    e: int
+    states: np.ndarray
+    levels: np.ndarray
+    nbr: np.ndarray
+    parent: np.ndarray
+    schreier: np.ndarray
+
+
+def gamma_schreier(e: int, budget: int = 200_000) -> CosetTable:
+    """The coset table of SL2(Z/e); its non-tree edges generate Gamma(e).
+
+    Raises BudgetError from the closed form |SL2(Z/e)| before enumerating.
+    """
     if e < 2:
         raise ValueError("level must be at least 2")
-    start = IDENT2
-    transversal = {start: ""}
-    order = [start]
-    queue = [start]
-    schreier = []
-    while queue:
-        x = queue.pop(0)
-        wx = transversal[x]
-        for letter in "STst":
-            y = mat_mul(x, _LETTER_MATS[letter], e)
-            if y not in transversal:
-                if len(transversal) >= budget:
-                    raise BudgetError(f"SL2(Z/{e}) exceeds coset budget {budget}")
-                transversal[y] = wx + letter
-                order.append(y)
-                queue.append(y)
-            else:
-                word = wx + letter + invert_word(transversal[y])
-                schreier.append(word)
-    return transversal, order, schreier
+    if sl2_order(e) > budget:
+        raise BudgetError(f"SL2(Z/{e}) exceeds coset budget {budget}")
+    return _coset_table(e)
 
 
-def sl2_order(e: int) -> int:
-    return len(_coset_enumeration(e)[1])
-
-
-def gamma_schreier(e: int, budget: int = 200_000) -> list[str]:
-    """Schreier generator words of Gamma(e); each evaluates to I mod e."""
-    _, _, schreier = _coset_enumeration(e, budget)
-    for word in schreier:
-        assert mat_mod(evaluate_word(word), e) == IDENT2
-    return schreier
+@lru_cache(maxsize=None)
+def _coset_table(e: int) -> CosetTable:
+    mats = [_LETTER_MATS[letter] for letter in LETTERS]
+    levels, parents, targets = [0], [np.array([-1])], []
+    prev, cur = np.empty(0, np.int64), np.array([mat_encode(IDENT2, e)], dtype=np.int64)
+    states = [cur]
+    while cur.size:
+        # in row-major (state, letter) order first occurrences are the FIFO BFS
+        # tree; the letters are closed under inverses, so every edge stays
+        # within a level or joins adjacent ones
+        codes = np.stack([mul_codes(cur, m, e) for m in mats], axis=1).ravel()
+        edges = first_new(codes, np.sort(np.concatenate((prev, cur))))
+        parents.append(4 * levels[-1] + edges)
+        targets.append(codes)
+        levels.append(levels[-1] + cur.size)
+        prev, cur = cur, codes[edges]
+        states.append(cur)
+    flat = np.concatenate(states)
+    n = flat.size
+    if n != sl2_order(e):
+        raise RuntimeError(f"coset BFS found {n} states, |SL2(Z/{e})| = {sl2_order(e)}")
+    # all of SL2(Z/e) is in `flat`, so every neighbour code is found
+    by_code = np.argsort(flat)
+    nbr = by_code[np.searchsorted(flat, np.concatenate(targets), sorter=by_code)]
+    parent = np.concatenate(parents)
+    tree = np.zeros(nbr.size, dtype=bool)
+    tree[parent[1:]] = True
+    return CosetTable(e, flat, np.array(levels), nbr.reshape(n, 4), parent, np.flatnonzero(~tree))
 
 
 def verify_action_level(table: ActionTable, e: int, budget: int = 200_000) -> bool:
@@ -130,13 +155,28 @@ def verify_action_level(table: ActionTable, e: int, budget: int = 200_000) -> bo
 
     True iff every Schreier generator of Gamma(e) acts as the identity
     permutation, which, since they generate Gamma(e), is equivalent to
-    Gamma(e) lying in every stabilizer.
+    Gamma(e) lying in every stabilizer.  Class permutations are held for
+    three BFS levels at a time, as int32.
     """
+    cosets = gamma_schreier(e, budget)
     n = len(table.classes)
-    ident = np.arange(n)
-    for word in gamma_schreier(e, budget):
-        if not np.array_equal(table.word_perm(word), ident):
-            return False
+    moves = [table.letter_perm(letter).astype(np.int32) for letter in LETTERS]
+    levels, nbr, parent = cosets.levels, cosets.nbr, cosets.parent
+    prev, cur = np.empty((0, n), np.int32), np.arange(n, dtype=np.int32)[None]
+    for k in range(levels.size - 1):
+        lo, r0, r1 = levels[max(k - 1, 0)], levels[k], levels[k + 1]
+        r2 = levels[k + 2] if k + 2 < levels.size else r1
+        # per letter: its permutation, the edge targets and which edges are tree edges
+        edges = [(move, nbr[r0:r1, j], parent[nbr[r0:r1, j]] == 4 * np.arange(r0, r1) + j)
+                 for j, move in enumerate(moves)]
+        nxt = np.empty((r2 - r1, n), np.int32)
+        for move, targets, tree in edges:
+            nxt[targets[tree] - r1] = move[cur[tree]]
+        window = np.concatenate((prev, cur, nxt))
+        for move, targets, tree in edges:
+            if not np.array_equal(move[cur[~tree]], window[targets[~tree] - lo]):
+                return False
+        prev, cur = cur, nxt
     return True
 
 
@@ -200,18 +240,11 @@ class LevelCertificate:
     gamma_e_contained: bool
 
     def to_json(self) -> dict:
-        return {
-            "group": self.group,
-            "e": self.e,
-            "schreier_word_count": self.schreier_word_count,
-            "verdict": self.verdict,
-            "wohlfahrt": self.wohlfahrt,
-            "gamma_e_contained": self.gamma_e_contained,
-        }
+        return asdict(self)
 
 
 def certify(table: ActionTable, e: int, group_name: str = "", budget: int = 200_000) -> LevelCertificate:
-    words = gamma_schreier(e, budget)
+    cosets = gamma_schreier(e, budget)
     verdict = verify_action_level(table, e, budget)
     one_plus = one_plus_eX_check(table, e)
     if verdict and not one_plus:
@@ -219,42 +252,8 @@ def certify(table: ActionTable, e: int, group_name: str = "", budget: int = 200_
     return LevelCertificate(
         group=group_name,
         e=e,
-        schreier_word_count=len(words),
+        schreier_word_count=len(cosets.schreier),
         verdict=verdict,
         wohlfahrt=lcm(*t_cycle_lengths(table)),
         gamma_e_contained=one_plus,
     )
-
-
-def convention_self_test() -> None:
-    """Assert the single matrix/word/action convention wires up coherently."""
-    # matrix relations
-    S4 = mat_mul(mat_mul(M_S, M_S), mat_mul(M_S, M_S))
-    assert S4 == IDENT2
-    ST = mat_mul(M_S, M_T)
-    cube = mat_mul(mat_mul(ST, ST), ST)
-    assert mat_mul(cube, cube) == IDENT2  # (ST)^6 = 1 (here already (ST)^3 = 1)
-    # word round trips
-    for word in ("", "S", "T", "STst", "TTTsTT"):
-        assert word_from_matrix(evaluate_word(word)) is not None
-    # abelianized action: ab(act(T, P)) = P @ M_T on an abelian group
-    from .catalog import get_group
-
-    G = get_group("Z3xZ3")
-    table = ActionTable(G)
-    N = 3
-
-    def vec(h):  # (exponent of g1-part, exponent of g2-part)
-        p = G.elements[h]
-        return (p[0] % N, (p[N] - N) % N)
-
-    for cls in table.classes[:10]:
-        h1, h2 = cls.rep
-        P = tuple(zip(vec(h1), vec(h2)))  # columns are the images
-        from .nielsen import act
-
-        for move, mat in (("S", M_S), ("T", M_T)):
-            moved = act(move, cls).rep
-            got = tuple(zip(vec(moved[0]), vec(moved[1])))
-            want = mat_mod(mat_mul(P, mat), N)
-            assert got == want, (move, P, got, want)

@@ -15,18 +15,23 @@ abelianization the moves act by right multiplication with
 (column convention; T sends e1 to e1 + e2).  Orbits are connected
 components of the move graph; stabilizers inside SL2/GL2(Z/e) are computed
 by orbit-stabilizer with Schreier generators once the congruence module has
-certified that the action factors through level e.
+certified that the action factors through level e.  Matrix groups mod e are
+closed over numpy frontiers of matrices encoded as one integer each
+(`mat_encode`), and the ambient orders come in closed form.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
 from .errors import BudgetError, InvariantViolation
 from .fingrp import Endo, FinGroup, outer_representatives
+from .grpring import _factor_prime_powers
 
 M_S = ((0, -1), (1, 0))
 M_T = ((1, 0), (1, 1))
@@ -62,6 +67,39 @@ def mat_inv_mod(a, e: int):
 
 
 IDENT2 = ((1, 0), (0, 1))
+
+
+def mat_encode(a, e: int) -> int:
+    """The matrix mod e as one integer in [0, e^4): its entries as base-e digits."""
+    return ((a[0][0] % e * e + a[0][1] % e) * e + a[1][0] % e) * e + a[1][1] % e
+
+
+def mul_codes(codes: np.ndarray, g, e: int) -> np.ndarray:
+    """Encoded products x g mod e for an array of encoded matrices x."""
+    (p, q), (r, s) = mat_mod(g, e)
+    a, b, c, d = codes // e**3, codes // e**2 % e, codes // e % e, codes % e
+    return (((a * p + b * r) % e * e + (a * q + b * s) % e) * e + (c * p + d * r) % e) * e + (
+        c * q + d * s
+    ) % e
+
+
+def first_new(codes: np.ndarray, known: np.ndarray) -> np.ndarray:
+    """Ascending positions of the first occurrences of codes absent from `known` (sorted)."""
+    order = np.argsort(codes, kind="stable")
+    ranked = codes[order]
+    keep = known[np.searchsorted(known, ranked).clip(max=known.size - 1)] != ranked
+    keep[1:] &= ranked[1:] != ranked[:-1]
+    return np.sort(order[keep])
+
+
+def sl2_order(e: int) -> int:
+    """|SL2(Z/e)| = e^3 prod_{p | e} (1 - p^-2)."""
+    return prod(p ** (3 * k - 2) * (p * p - 1) for p, k in _factor_prime_powers(e))
+
+
+def gl2_order(e: int) -> int:
+    """|GL2(Z/e)| = phi(e) |SL2(Z/e)|."""
+    return sl2_order(e) * prod(p ** (k - 1) * (p - 1) for p, k in _factor_prime_powers(e))
 
 
 def canonical_pair(G: FinGroup, pair: tuple[int, int]) -> tuple[int, int]:
@@ -246,18 +284,11 @@ def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
         raise InvariantViolation("braid u-twist at u = 1 is not the identity")
     for u1 in table.units:
         for u2 in table.units:
-            u12 = _unit_rep_static(table.units, (u1 * u2) % table.e, table.e)
+            u12 = _unit_rep(table, u1 * u2, table.e)
             if not np.array_equal(out[u2][out[u1]], out[u12]):
                 raise InvariantViolation("braid u-twists fail homomorphy")
     table._braid_perms = out
     return out
-
-
-def _unit_rep_static(units, u: int, e: int) -> int:
-    for v in units:
-        if v % e == u % e:
-            return v
-    raise KeyError(u)
 
 
 def orbits(table: ActionTable, ambient: str = "SL2", braid: bool = False) -> list[list[int]]:
@@ -281,9 +312,9 @@ def orbits(table: ActionTable, ambient: str = "SL2", braid: bool = False) -> lis
             continue
         orbit = [start]
         seen[start] = True
-        queue = [start]
+        queue = deque([start])
         while queue:
-            x = queue.pop(0)
+            x = queue.popleft()
             for p in moves:
                 y = int(p[x])
                 if not seen[y]:
@@ -296,17 +327,13 @@ def orbits(table: ActionTable, ambient: str = "SL2", braid: bool = False) -> lis
 
 @dataclass(frozen=True)
 class MatrixSubgroup:
-    """A subgroup of SL2/GL2(Z/e) as explicit elements plus Schreier generators."""
+    """A subgroup of SL2/GL2(Z/e): its order and its Schreier generators."""
 
     e: int
     ambient: str
     ambient_order: int
-    elements: tuple
+    order: int
     generators: tuple
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def to_json(self) -> dict:
         return {
@@ -318,27 +345,18 @@ class MatrixSubgroup:
         }
 
 
-def matrix_group_closure(generators, e: int) -> set:
-    seen = {IDENT2}
-    frontier = [IDENT2]
-    gens = [mat_mod(g, e) for g in generators]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = mat_mul(a, g, e)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+def matrix_group_closure(generators, e: int) -> np.ndarray:
+    """Sorted codes (`mat_encode`) of the subgroup of GL2(Z/e) the generators generate.
+
+    Breadth-first over right multiplication, one numpy frontier per level.
+    """
+    gens = list(generators)
+    seen = frontier = np.array([mat_encode(IDENT2, e)], dtype=np.int64)
+    while frontier.size and gens:
+        cand = np.concatenate([mul_codes(frontier, g, e) for g in gens])
+        frontier = cand[first_new(cand, seen)]
+        seen = np.sort(np.concatenate((seen, frontier)))
     return seen
-
-
-def ambient_group(e: int, ambient: str) -> set:
-    gens = [M_S, M_T]
-    if ambient == "GL2":
-        gens += [m_u(u) for u in range(1, e) if np.gcd(u, e) == 1]
-    return matrix_group_closure(gens, e)
 
 
 def stabilizer_mod(
@@ -348,9 +366,11 @@ def stabilizer_mod(
 
     Requires a level certificate with a true verdict (the action must be
     known to factor through matrices mod e for the stabilizer to be a
-    subgroup of the finite matrix group at all).  Orbit-stabilizer with
-    Schreier generators; the order identity |orbit| * |H| = |ambient| is
-    asserted.
+    subgroup of the finite matrix group at all).  A BFS over the orbit
+    collects the Schreier generators, `matrix_group_closure` closes them to
+    give |H|, and the ambient order is the closed form `sl2_order(e)` or
+    `gl2_order(e)`.  The order identity |orbit| * |H| = |ambient| is checked
+    and raises InvariantViolation when it fails.
     """
     if not getattr(certificate, "verdict", False):
         raise ValueError("level certification missing or failed")
@@ -366,34 +386,32 @@ def stabilizer_mod(
                 continue
             letters.append((f"U{u}", m_u(u % e), u_perms[_unit_rep(table, u, table.e)]))
     transversal = {class_idx: IDENT2}
-    order = [class_idx]
-    queue = [class_idx]
+    queue = deque([class_idx])
     schreier = set()
     while queue:
-        x = queue.pop(0)
+        x = queue.popleft()
         mx = transversal[x]
         for _, mat, perm in letters:
             y = int(perm[x])
             my = mat_mul(mx, mat, e)
             if y not in transversal:
                 transversal[y] = my
-                order.append(y)
                 queue.append(y)
             else:
                 gen = mat_mul(my, mat_inv_mod(transversal[y], e), e)
                 if gen != IDENT2:
                     schreier.add(gen)
-    H = matrix_group_closure(schreier, e) if schreier else {IDENT2}
-    amb = ambient_group(e, ambient)
-    if len(order) * len(H) != len(amb):
+    order = matrix_group_closure(schreier, e).size
+    amb = gl2_order(e) if ambient == "GL2" else sl2_order(e)
+    if len(transversal) * order != amb:
         raise InvariantViolation(
-            f"orbit-stabilizer mismatch: {len(order)} * {len(H)} != {len(amb)}"
+            f"orbit-stabilizer mismatch: {len(transversal)} * {order} != {amb}"
         )
     return MatrixSubgroup(
         e=e,
         ambient=ambient,
-        ambient_order=len(amb),
-        elements=tuple(sorted(H)),
+        ambient_order=amb,
+        order=order,
         generators=tuple(sorted(schreier)),
     )
 

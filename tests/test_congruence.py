@@ -6,13 +6,23 @@ from math import lcm
 import numpy as np
 import pytest
 
-from metab.catalog import get_group
+from congruence_oracle import (
+    ambient_tuples,
+    closure_tuples,
+    coset_words,
+    decode,
+    invert_word,
+    spelled_words,
+    verify_by_words,
+)
+from metab import congruence
+from metab.catalog import builtin_groups, get_group
 from metab.congruence import (
+    _LETTER_MATS,
+    LETTERS,
     certify,
-    convention_self_test,
     evaluate_word,
     gamma_schreier,
-    invert_word,
     one_plus_eX_check,
     one_plus_ex_matrices,
     sl2_order,
@@ -22,7 +32,7 @@ from metab.congruence import (
     word_from_matrix,
 )
 from metab.errors import BudgetError
-from metab.nielsen import IDENT2, ActionTable, mat_mod, mat_mul
+from metab.nielsen import IDENT2, M_S, M_T, ActionTable, act, gl2_order, mat_mod, mat_mul
 
 
 def random_word(rng, max_len=30):
@@ -63,46 +73,63 @@ def test_sl2_orders():
     assert sl2_order(7) == 336
 
 
+def test_closed_form_orders_match_enumeration():
+    for e in range(2, 31):
+        assert sl2_order(e) == len(closure_tuples([M_S, M_T], e)), e
+    for e in range(2, 13):
+        assert gl2_order(e) == len(ambient_tuples(e, "GL2")), e
+
+
 @pytest.mark.parametrize("e", [2, 3, 4, 5, 6])
 def test_gamma_schreier_words_in_gamma_e(e):
-    words = gamma_schreier(e)
-    assert words, "no Schreier generators returned"
+    cosets = gamma_schreier(e)
+    _, words = spelled_words(cosets)
+    assert len(words) == 3 * sl2_order(e) + 1
     for word in words:
         assert mat_mod(evaluate_word(word), e) == IDENT2
 
 
 def test_schreier_data_regenerates_coset_table():
-    # re-run the enumeration from the returned data only: transversal words
-    # must hit every element of SL2(Z/e) once, and every edge must close up
-    from metab.congruence import _coset_enumeration, _LETTER_MATS
-
-    for e in (2, 3, 4):
-        transversal, order, schreier = _coset_enumeration(e)
-        states = {mat_mod(evaluate_word(w), e) for w in transversal.values()}
-        assert len(states) == len(order) == sl2_order(e)
-        for x, wx in transversal.items():
+    # the table's tree spells every element of SL2(Z/e) once, every edge
+    # closes up, and tree and Schreier words are the string BFS's, in order
+    for e in (2, 3, 4, 6, 10):
+        cosets = gamma_schreier(e)
+        states = [decode(code, e) for code in cosets.states]
+        assert len(set(states)) == len(states) == sl2_order(e)
+        words, schreier = spelled_words(cosets)
+        for x, wx in zip(states, words):
             assert mat_mod(evaluate_word(wx), e) == x
-            for letter in "STst":
-                y = mat_mul(x, _LETTER_MATS[letter], e)
-                assert y in transversal
-        wordset = set(schreier)
-        assert len(wordset) >= sl2_order(e)  # non-tree edges
+        for i, x in enumerate(states):
+            for j, letter in enumerate(LETTERS):
+                assert states[cosets.nbr[i, j]] == mat_mul(x, _LETTER_MATS[letter], e)
+        transversal, order, oracle_schreier = coset_words(e)
+        assert states == order
+        assert words == [transversal[x] for x in order]
+        assert schreier == oracle_schreier
 
 
 def test_gamma2_example_matrix_fixes_cosets():
     # [[1,2],[0,1]] = 1 + 2 X_1 lies in Gamma(2): it fixes every coset
-    from metab.congruence import _coset_enumeration, _LETTER_MATS
-
-    transversal, _, _ = _coset_enumeration(2)
     word = word_from_matrix(((1, 2), (0, 1)))
     m = evaluate_word(word)
-    for x in transversal:
+    for code in gamma_schreier(2).states:
+        x = decode(code, 2)
         assert mat_mod(mat_mul(x, m), 2) == x
 
 
-def test_budget():
+def test_budget(monkeypatch):
     with pytest.raises(BudgetError):
         gamma_schreier(6, budget=10)
+    # the closed form refuses |SL2(Z/110)| = 950,400 before enumerating
+    monkeypatch.setattr(congruence, "mul_codes", None)
+    with pytest.raises(BudgetError):
+        gamma_schreier(110)
+
+
+def test_coset_table_checks_its_state_count(monkeypatch):
+    monkeypatch.setattr(congruence, "sl2_order", lambda e: 7)
+    with pytest.raises(RuntimeError, match="states"):
+        congruence._coset_table.__wrapped__(3)
 
 
 METABELIAN = ["S3", "D4", "D5", "D6", "Q8", "Heis27", "C7C3", "Z2xZ2", "Z3xZ3"]
@@ -135,6 +162,22 @@ def test_verify_soundness_random_word_pairs():
         )
 
 
+SMALL_GROUPS = sorted(name for name, G in builtin_groups().items() if G.order <= 64)
+
+
+@pytest.mark.parametrize("name", SMALL_GROUPS)
+def test_verify_action_level_agrees_with_word_oracle(name):
+    table = ActionTable(get_group(name))
+    verdicts = {e: verify_action_level(table, e) for e in range(2, 13)}
+    assert verdicts == {e: verify_by_words(table, e) for e in range(2, 13)}
+
+
+def test_word_oracle_sees_both_verdicts():
+    table = ActionTable(get_group("S3"))
+    assert [verify_action_level(table, e) for e in (2, 3, 6)] == [True, False, True]
+    assert [verify_by_words(table, e) for e in (2, 3, 6)] == [True, False, True]
+
+
 def test_level_1_means_trivial_action():
     table = ActionTable(get_group("Z2xZ2"))
     # the action is nontrivial, so it cannot factor through level 1;
@@ -159,7 +202,7 @@ def test_certificate_shape():
     assert cert.verdict and cert.gamma_e_contained
     assert cert.e == 6 and cert.group == "S3"
     assert cert.wohlfahrt == 2
-    assert cert.schreier_word_count == len(gamma_schreier(6))
+    assert cert.schreier_word_count == len(gamma_schreier(6).schreier) == 3 * 144 + 1
     data = cert.to_json()
     assert data["verdict"] is True and data["wohlfahrt"] == 2
 
@@ -182,4 +225,28 @@ def test_s3_factors_through_level_2():
 
 
 def test_convention_self_test():
-    convention_self_test()
+    # the single matrix/word/action convention wires up coherently
+    S4 = mat_mul(mat_mul(M_S, M_S), mat_mul(M_S, M_S))
+    assert S4 == IDENT2
+    ST = mat_mul(M_S, M_T)
+    cube = mat_mul(mat_mul(ST, ST), ST)
+    assert mat_mul(cube, cube) == IDENT2  # (ST)^6 = 1 (here already (ST)^3 = 1)
+    for word in ("", "S", "T", "STst", "TTTsTT"):
+        assert evaluate_word(word_from_matrix(evaluate_word(word))) == evaluate_word(word)
+    # abelianized action: ab(act(T, P)) = P @ M_T on an abelian group
+    G = get_group("Z3xZ3")
+    table = ActionTable(G)
+    N = 3
+
+    def vec(h):  # (exponent of g1-part, exponent of g2-part)
+        p = G.elements[h]
+        return (p[0] % N, (p[N] - N) % N)
+
+    for cls in table.classes[:10]:
+        h1, h2 = cls.rep
+        P = tuple(zip(vec(h1), vec(h2)))  # columns are the images
+        for move, mat in (("S", M_S), ("T", M_T)):
+            moved = act(move, cls).rep
+            got = tuple(zip(vec(moved[0]), vec(moved[1])))
+            want = mat_mod(mat_mul(P, mat), N)
+            assert got == want, (move, P, got, want)

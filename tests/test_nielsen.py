@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 
+from congruence_oracle import closure_tuples, decode
 from metab.catalog import get_group
 from metab.errors import BudgetError
 from metab.nielsen import (
@@ -13,6 +14,7 @@ from metab.nielsen import (
     act,
     canonical_pair,
     epi_classes,
+    matrix_group_closure,
     orbits,
     out_action_on_orbits,
     stabilizer_mod,
@@ -157,6 +159,22 @@ def test_stabilizer_abelian_full_level():
         assert H.order == 1  # stabilizer of an ordered basis is trivial
         Hsl = stabilizer_mod(table, 0, cert, "SL2")
         assert Hsl.order == 1
+
+
+@pytest.mark.parametrize("name", ["C7C3", "D5", "S3"])
+def test_closure_agrees_with_tuple_closure(name):
+    from metab.congruence import certify
+
+    G = get_group(name)
+    e = G.exponent
+    table = ActionTable(G)
+    cert = certify(table, e, name)
+    for ambient in ("SL2", "GL2"):
+        for orb in orbits(table, ambient, braid=ambient == "GL2"):
+            H = stabilizer_mod(table, orb[0], cert, ambient)
+            oracle = closure_tuples(H.generators, e)
+            assert H.order == len(oracle)
+            assert {decode(c, e) for c in matrix_group_closure(H.generators, e)} == oracle
 
 
 def test_out_action_transitive():
