@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 
-from .fingrp import FinGroup, group_make, perm_from_cycles, perm_to_cycles
+from .fingrp import FinGroup, group_make, perm_cycles, perm_from_cycles
 
 
 def _dihedral(k: int) -> tuple[int, list, list]:
@@ -86,8 +86,8 @@ def group_entry(name: str, G: FinGroup) -> dict:
         "metabelian": G.is_metabelian,
         "abelian": G.is_abelian,
         "exponent": G.exponent,
-        "gen1": perm_to_cycles(G.elements[G.g1]),
-        "gen2": perm_to_cycles(G.elements[G.g2]),
+        "gen1": [c for c in perm_cycles(G.elements[G.g1]) if len(c) > 1],
+        "gen2": [c for c in perm_cycles(G.elements[G.g2]) if len(c) > 1],
     }
 
 

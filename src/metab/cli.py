@@ -1,8 +1,10 @@
 """Command-line driver.
 
 Subcommands: ring, classify, orbits, components, certify, catalog.  Reports
-are deterministic JSON (plus a CSV summary for components); action tables
-are cached keyed by a content hash of the group data and the code version.
+are deterministic JSON (plus a CSV summary for components).  Action tables
+are cached as `table-<hash>.json`, the hash covering the group data and the
+code version; a file is written whole and moved into place, and a cached
+table that fails `ActionTable.from_json`'s checks is recomputed.
 
 Exit codes: 0 success, 2 budget exceeded, 3 parse/config error, 4 a
 paper-level invariant failed (the interesting one: a desk-scale
@@ -20,8 +22,6 @@ import random
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .catalog import builtin_groups, builtin_names, get_group, group_entry, load_group_file
@@ -45,7 +45,6 @@ class RunConfig:
     out: str | None = None
     csv_out: str | None = None
     cache_dir: str | None = None
-    threads: int = 1
     force: bool = False
     gl2: bool = False
     exhaustive: bool = False
@@ -53,8 +52,6 @@ class RunConfig:
     def __post_init__(self):
         if self.max_group <= 0 or self.max_ring <= 0 or self.max_classes <= 0:
             raise ValueError("budgets must be positive")
-        if self.threads < 1:
-            raise ValueError("thread count must be positive")
 
 
 # ---------------------------------------------------------------- expressions
@@ -197,37 +194,22 @@ def _cache_dir(config: RunConfig) -> Path | None:
     return path
 
 
-def _load_table(config: RunConfig, name: str, G: FinGroup) -> ActionTable:
+def _load_table(config: RunConfig, G: FinGroup) -> ActionTable:
     cache = _cache_dir(config)
     key = _group_hash(G)
-    cache_file = cache / f"table-{name}-{key}.json" if cache else None
+    cache_file = cache / f"table-{key}.json" if cache else None
     if cache_file and cache_file.exists():
         try:
             data = json.loads(cache_file.read_text())
             if data.get("version") == __version__ and data.get("hash") == key:
-                return _table_from_json(G, data["table"], config.threads)
-        except (ValueError, KeyError, TypeError):
+                return ActionTable.from_json(G, data["table"])
+        except (ValueError, KeyError, TypeError, AttributeError):
             print(f"warning: corrupt cache {cache_file}, recomputing", file=sys.stderr)
-    table = ActionTable(G, budget=config.max_classes, threads=config.threads)
+    table = ActionTable(G, budget=config.max_classes)
     if cache_file:
-        cache_file.write_text(
-            json.dumps({"version": __version__, "hash": key, "table": table.to_json()})
-        )
-    return table
-
-
-def _table_from_json(G: FinGroup, data: dict, threads: int) -> ActionTable:
-    from .nielsen import EpiClass
-
-    table = ActionTable.__new__(ActionTable)
-    table.group = G
-    table.e = int(data["e"])
-    table.classes = [EpiClass(G, tuple(rep)) for rep in data["classes"]]
-    table.index = {cls.rep: i for i, cls in enumerate(table.classes)}
-    table.perm_s = np.array(data["perm_s"], dtype=np.int64)
-    table.perm_t = np.array(data["perm_t"], dtype=np.int64)
-    table.units = sorted(int(u) for u in data["perm_u"])
-    table.perm_u = {int(u): np.array(p, dtype=np.int64) for u, p in data["perm_u"].items()}
+        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps({"version": __version__, "hash": key, "table": table.to_json()}))
+        os.replace(tmp, cache_file)
     return table
 
 
@@ -309,7 +291,7 @@ def cmd_classify(config: RunConfig, n: int, m: int, r1: str, r2: str) -> dict:
 
 def cmd_orbits(config: RunConfig) -> dict:
     name, G = _resolve_group(config)
-    table = _load_table(config, name, G)
+    table = _load_table(config, G)
     ambient = "GL2" if config.gl2 else "SL2"
     orbs = orbits(table, ambient, braid=config.gl2 and G.is_metabelian)
     doc = {
@@ -336,7 +318,7 @@ def cmd_components(config: RunConfig) -> dict:
         raise HypothesisError(
             f"{name} is not metabelian (rerun with --force for the orbit part only)"
         )
-    table = _load_table(config, name, G)
+    table = _load_table(config, G)
     result = component_report(
         G,
         name,
@@ -356,7 +338,7 @@ def cmd_components(config: RunConfig) -> dict:
 
 def cmd_certify(config: RunConfig) -> dict:
     name, G = _resolve_group(config)
-    table = _load_table(config, name, G)
+    table = _load_table(config, G)
     level = config.level if config.level is not None else G.exponent
     cert = certify(table, level, name)
     doc = cert.to_json()
@@ -379,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-level metabelian calculus: group-algebra arithmetic, "
         "IA-classification, SL2(Z)-orbits, congruence certificates, curve invariants.",
     )
-    parser.add_argument("--threads", type=int, default=1, help="worker thread bound")
     parser.add_argument("--cache-dir", help="cache directory (or METAB_CACHE_DIR)")
     parser.add_argument("--max-group", type=int, default=2000, help="largest |G| accepted")
     parser.add_argument("--max-ring", type=int, default=10**4, help="largest |R|^2 for sweeps")
@@ -430,7 +411,6 @@ def run(argv: list[str]) -> int:
         out=args.out,
         csv_out=getattr(args, "csv_out", None),
         cache_dir=args.cache_dir,
-        threads=args.threads,
         force=getattr(args, "force", False),
         gl2=getattr(args, "gl2", False),
         exhaustive=getattr(args, "exhaustive", False),

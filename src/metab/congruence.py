@@ -26,8 +26,9 @@ from math import lcm
 import numpy as np
 
 from .errors import BudgetError
-from .nielsen import (IDENT2, M_S, M_T, ActionTable, first_new, mat_encode, mat_mul, mul_codes,
-                      orbits, sl2_order)
+from .fingrp import perm_cycles
+from .nielsen import (IDENT2, M_S, M_T, ActionTable, first_new, mat_det, mat_encode, mat_mul,
+                      mul_codes, orbits, sl2_order)
 
 LETTERS = "STst"
 _LETTER_MATS = {
@@ -54,7 +55,7 @@ def word_from_matrix(M) -> str:
     to sign.
     """
     M = ((int(M[0][0]), int(M[0][1])), (int(M[1][0]), int(M[1][1])))
-    if M[0][0] * M[1][1] - M[0][1] * M[1][0] != 1:
+    if mat_det(M) != 1:
         raise ValueError("matrix must have determinant 1")
     target = M
     letters: list[str] = []
@@ -85,7 +86,8 @@ def word_from_matrix(M) -> str:
         run = ("t" if b > 0 else "T") * abs(b)  # S T^k S^-1 = [[1, -k], [0, 1]]
         letters.append("S" + run + "s")
     word = "".join(letters)
-    assert evaluate_word(word) == target
+    if evaluate_word(word) != target:
+        raise RuntimeError(f"word_from_matrix: {word!r} does not evaluate to {target}")
     return word
 
 
@@ -204,28 +206,10 @@ def one_plus_eX_check(table: ActionTable, e: int) -> bool:
     return True
 
 
-def t_cycle_lengths(table: ActionTable, within: list[int] | None = None) -> list[int]:
-    idxs = range(len(table.classes)) if within is None else within
-    seen = set()
-    lengths = []
-    for x in idxs:
-        if x in seen:
-            continue
-        k, y = 1, int(table.perm_t[x])
-        cycle = {x}
-        while y != x:
-            cycle.add(y)
-            y = int(table.perm_t[y])
-            k += 1
-        seen |= cycle
-        lengths.append(k)
-    return lengths
-
-
 def wohlfahrt_level(table: ActionTable, class_idx: int) -> int:
     """lcm of the T-cycle lengths on the orbit of the class (cusp widths)."""
-    orbit = next(orb for orb in orbits(table, "SL2") if class_idx in orb)
-    return lcm(*t_cycle_lengths(table, orbit))
+    orbit = set(next(orb for orb in orbits(table, "SL2") if class_idx in orb))
+    return lcm(*(len(c) for c in perm_cycles(table.perm_t) if c[0] in orbit))
 
 
 @dataclass(frozen=True)
@@ -248,12 +232,12 @@ def certify(table: ActionTable, e: int, group_name: str = "", budget: int = 200_
     verdict = verify_action_level(table, e, budget)
     one_plus = one_plus_eX_check(table, e)
     if verdict and not one_plus:
-        raise AssertionError("level verification must imply the 1 + eX_i check")
+        raise RuntimeError("level verification must imply the 1 + eX_i check")
     return LevelCertificate(
         group=group_name,
         e=e,
         schreier_word_count=len(cosets.schreier),
         verdict=verdict,
-        wohlfahrt=lcm(*t_cycle_lengths(table)),
+        wohlfahrt=lcm(*(len(c) for c in perm_cycles(table.perm_t))),
         gamma_e_contained=one_plus,
     )

@@ -157,7 +157,8 @@ def berlekamp(f: Poly, p: int) -> list[Poly]:
         factors = next_factors
         if len(factors) == r:
             break
-    assert len(factors) == r, "Berlekamp splitting incomplete"
+    if len(factors) != r:
+        raise RuntimeError("Berlekamp splitting incomplete")
     return sorted(factors)
 
 
@@ -182,7 +183,8 @@ def hensel_lift_factors(f: Poly, factors: list[Poly], p: int, k: int) -> list[Po
         err = add(f, scale(prod, -1, q), q)
         if not err:
             continue
-        assert all(c % p**j == 0 for c in err)
+        if any(c % p**j for c in err):
+            raise RuntimeError(f"Hensel lift: f - prod(factors) is not 0 mod p^{j}")
         e = trim([(c // p**j) % p for c in err])
         for i, g in enumerate(lifted):
             delta = mod_poly(mul(e, cof_inv[i], p), factors[i], p)

@@ -271,7 +271,8 @@ def try_invert(x: RingElem) -> RingElem | None:
         rest = ctx.n // q
         acc = acc + y * rest * linalg.inv_mod(rest, q)
     inv = RingElem(ctx, acc % ctx.n)
-    assert (x * inv) == ctx.one()
+    if x * inv != ctx.one():
+        raise RuntimeError("try_invert: x * x^-1 != 1 after CRT assembly")
     return inv
 
 
@@ -323,7 +324,7 @@ def _invert_mod_prime_power(x: RingElem, p: int, k: int) -> np.ndarray | None:
         if err.is_zero():
             return y.coeffs % q
         y = y * (one - err)  # Newton: y (2 - x y), err squares each round
-    raise AssertionError("Newton inversion failed to converge on a unit")
+    raise RuntimeError("Newton inversion failed to converge on a unit")
 
 
 def monomial_part(x: RingElem) -> tuple[int, int] | None:

@@ -25,7 +25,6 @@ form x1^e1 x2^e2 [x1,x2]^alpha.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,17 +85,6 @@ def ia_matrix(e: IAEndo) -> Matrix2:
     return (
         (one + e.r1 * v, e.r2 * v),
         (e.r1 * u, one + e.r2 * u),
-    )
-
-
-def matrix_det(mat: Matrix2) -> RingElem:
-    return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-
-
-def matrix_mul(a: Matrix2, b: Matrix2) -> Matrix2:
-    return (
-        (a[0][0] * b[0][0] + a[0][1] * b[1][0], a[0][0] * b[0][1] + a[0][1] * b[1][1]),
-        (a[1][0] * b[0][0] + a[1][1] * b[1][0], a[1][0] * b[0][1] + a[1][1] * b[1][1]),
     )
 
 
@@ -240,7 +228,8 @@ def find_conjugator(e: IAEndo, budget: int | None = None) -> MagnusElem | None:
                 base.b2 + ctx.elem(lam[m2:].reshape(ctx.m, ctx.m)),
                 (v1, v2),
             )
-            assert conj(x1, w) == y1 and conj(x2, w) == y2
+            if conj(x1, w) != y1 or conj(x2, w) != y2:
+                raise RuntimeError("find_conjugator: solved w does not conjugate onto the images")
             return w
     return None
 
@@ -307,15 +296,6 @@ def endo_compose(
 ) -> tuple[MagnusElem, MagnusElem]:
     """Images of the composite "apply inner first, then outer"."""
     return endo_apply(outer, inner[0]), endo_apply(outer, inner[1])
-
-
-def classify_all(ctx: RingCtx) -> list[tuple[IAEndo, Classification]]:
-    """Exhaustive classification over all r-pairs (desk-scale contexts)."""
-    out = []
-    for r1, r2 in itertools.product(ctx.all_elements(), repeat=2):
-        e = IAEndo(r1, r2)
-        out.append((e, ia_classify(e)))
-    return out
 
 
 def sl2_move_images(ctx: RingCtx, move: str, u: int | None = None) -> tuple[MagnusElem, MagnusElem]:

@@ -19,13 +19,12 @@ H <= GL2(Z/e), per-component invariants, and the homogeneity assertions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 
 import numpy as np
 
 from .congruence import LevelCertificate, certify, wohlfahrt_level
 from .errors import HypothesisError, InvariantViolation
-from .fingrp import FinGroup
+from .fingrp import FinGroup, perm_cycles
 from .nielsen import ActionTable, MatrixSubgroup, orbits, out_action_on_orbits, stabilizer_mod
 
 
@@ -98,18 +97,10 @@ def curve_invariants(proj: ProjAction) -> CurveInvariants:
         raise InvariantViolation("(ST)^6 is not the identity on the quotient")
     nu2 = int(np.sum(s == np.arange(n)))
     nu3 = int(np.sum(st == np.arange(n)))
-    cusps = 0
-    seen = set()
-    for x in range(n):
-        if x in seen:
-            continue
-        cusps += 1
-        y = x
-        while True:
-            seen.add(y)
-            y = int(t[y])
-            if y == x:
-                break
+    widths = [len(c) for c in perm_cycles(t)]
+    if sum(widths) != n:
+        raise InvariantViolation("mu does not match the sum of cusp widths")
+    cusps = len(widths)
     twelve_g = 12 + n - 3 * nu2 - 4 * nu3 - 6 * cusps
     if twelve_g % 12 or twelve_g < 0:
         raise InvariantViolation(
@@ -239,8 +230,6 @@ def component_report(
     for oi, orb in enumerate(sl_orbits):
         proj = projectivize(table, orb)
         inv = curve_invariants(proj)
-        if inv.mu != sum(len(c) for c in _t_cycles(proj)):
-            raise InvariantViolation("mu does not match the sum of cusp widths")
         wl = wohlfahrt_level(table, orb[0])
         if full and e % wl:
             raise InvariantViolation("wohlfahrt level does not divide the certified level")
@@ -283,20 +272,3 @@ def component_report(
         components=tuple(components),
         out_transitive=out_transitive,
     )
-
-
-def _t_cycles(proj: ProjAction) -> list[list[int]]:
-    seen = set()
-    cycles = []
-    for x in range(len(proj.points)):
-        if x in seen:
-            continue
-        cyc = [x]
-        seen.add(x)
-        y = int(proj.t[x])
-        while y != x:
-            cyc.append(y)
-            seen.add(y)
-            y = int(proj.t[y])
-        cycles.append(cyc)
-    return cycles

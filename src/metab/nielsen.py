@@ -23,14 +23,13 @@ closed over numpy frontiers of matrices encoded as one integer each
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import prod
+from math import gcd, prod
 
 import numpy as np
 
 from .errors import BudgetError, InvariantViolation
-from .fingrp import Endo, FinGroup, outer_representatives
+from .fingrp import Endo, FinGroup, outer_representatives, perm_orbits
 from .grpring import _factor_prime_powers
 
 M_S = ((0, -1), (1, 0))
@@ -55,11 +54,14 @@ def mat_mod(a, e: int):
     return ((a[0][0] % e, a[0][1] % e), (a[1][0] % e, a[1][1] % e))
 
 
+def mat_det(a):
+    return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+
+
 def mat_inv_mod(a, e: int):
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
     from .linalg import inv_mod
 
-    d = inv_mod(det % e, e)
+    d = inv_mod(mat_det(a) % e, e)
     return (
         ((a[1][1] * d) % e, (-a[0][1] * d) % e),
         ((-a[1][0] * d) % e, (a[0][0] * d) % e),
@@ -151,34 +153,30 @@ def act(move: str, cls: EpiClass, u: int | None = None) -> EpiClass:
     """Apply a move to a class (conjugation-compatible, so well-defined)."""
     G = cls.group
     if move == "U":
-        from math import gcd
-
         if u is None or gcd(u, G.exponent) != 1:
             raise ValueError(f"u = {u} is not a unit mod {G.exponent}")
     return EpiClass(G, canonical_pair(G, act_pair(G, move, cls.rep, u)))
 
 
+def _units(e: int) -> list[int]:
+    return [u for u in range(1, e + 1) if gcd(u, e) == 1]
+
+
 class ActionTable:
     """Classes of Epi^ext(F2, G) with the move permutations S, T, U(u)."""
 
-    def __init__(self, group: FinGroup, budget: int = 10**6, threads: int = 1):
+    def __init__(self, group: FinGroup, budget: int = 10**6):
         self.group = group
         self.e = group.exponent
         self.classes = epi_classes(group, budget)
         self.index = {cls.rep: i for i, cls in enumerate(self.classes)}
 
         def img(move, u=None):
-            def one(cls):
-                return self.index[act(move, cls, u).rep]
-
-            if threads > 1:
-                with ThreadPoolExecutor(max_workers=threads) as pool:
-                    return np.array(list(pool.map(one, self.classes)), dtype=np.int64)
-            return np.array([one(c) for c in self.classes], dtype=np.int64)
+            return np.array([self.index[act(move, c, u).rep] for c in self.classes], dtype=np.int64)
 
         self.perm_s = img("S")
         self.perm_t = img("T")
-        self.units = [u for u in range(1, self.e + 1) if np.gcd(u, self.e) == 1]
+        self.units = _units(self.e)
         self.perm_u = {u: img("U", u) for u in self.units}
 
     def __len__(self):
@@ -189,16 +187,12 @@ class ActionTable:
 
     def letter_perm(self, letter: str) -> np.ndarray:
         """Permutation of a word letter: S, s, T, t or U<u>."""
-        n = len(self.classes)
         if letter == "S":
             return self.perm_s
         if letter == "T":
             return self.perm_t
         if letter in ("s", "t"):
-            fwd = self.perm_s if letter == "s" else self.perm_t
-            inv = np.empty(n, dtype=np.int64)
-            inv[fwd] = np.arange(n)
-            return inv
+            return np.argsort(self.perm_s if letter == "s" else self.perm_t)
         if letter.startswith("U"):
             return self.perm_u[int(letter[1:])]
         raise ValueError(f"unknown letter {letter!r}")
@@ -218,6 +212,47 @@ class ActionTable:
             "perm_t": [int(x) for x in self.perm_t],
             "perm_u": {str(u): [int(x) for x in p] for u, p in self.perm_u.items()},
         }
+
+    @classmethod
+    def from_json(cls, group: FinGroup, data: dict) -> ActionTable:
+        """The table `to_json` wrote, checked against the group.
+
+        Raises ValueError unless e = exp(G) with exactly the units mod e, the
+        representatives are distinct pairs of elements, every move is a
+        permutation of the classes, and S^4 = (ST)^3 = 1 with S^2 central.
+        """
+        table = cls.__new__(cls)
+        table.group, table.e = group, int(data["e"])
+        if table.e != group.exponent:
+            raise ValueError(f"table has e = {table.e}, but exp(G) = {group.exponent}")
+        reps = [tuple(int(h) for h in rep) for rep in data["classes"]]
+        if len(set(reps)) != len(reps) or any(
+            len(rep) != 2 or not all(0 <= h < group.order for h in rep) for rep in reps
+        ):
+            raise ValueError("class representatives are not distinct pairs of elements")
+        table.classes = [EpiClass(group, rep) for rep in reps]
+        table.index = {rep: i for i, rep in enumerate(reps)}
+        ident = np.arange(len(reps))
+
+        def move(perm):
+            perm = np.array(perm, dtype=np.int64)
+            if perm.shape != ident.shape or not np.array_equal(np.sort(perm), ident):
+                raise ValueError("a move is not a permutation of the classes")
+            return perm
+
+        table.perm_s, table.perm_t = move(data["perm_s"]), move(data["perm_t"])
+        table.perm_u = {int(u): move(p) for u, p in data["perm_u"].items()}
+        table.units = sorted(table.perm_u)
+        if table.units != _units(table.e):
+            raise ValueError(f"table units are not the units mod {table.e}")
+        s2 = table.word_perm("SS")
+        if not (
+            np.array_equal(s2[s2], ident)
+            and np.array_equal(table.word_perm("STSTST"), ident)
+            and np.array_equal(s2[table.perm_t], table.perm_t[s2])
+        ):
+            raise ValueError("moves violate S^4 = 1, (ST)^3 = 1 or S^2 central")
+        return table
 
 
 def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
@@ -304,25 +339,7 @@ def orbits(table: ActionTable, ambient: str = "SL2", braid: bool = False) -> lis
         moves += [u_perms[u] for u in table.units]
     elif ambient != "SL2":
         raise ValueError("ambient must be SL2 or GL2")
-    n = len(table.classes)
-    seen = [False] * n
-    out = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = [start]
-        seen[start] = True
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for p in moves:
-                y = int(p[x])
-                if not seen[y]:
-                    seen[y] = True
-                    orbit.append(y)
-                    queue.append(y)
-        out.append(sorted(orbit))
-    return out
+    return perm_orbits(moves, len(table.classes))
 
 
 @dataclass(frozen=True)
@@ -382,7 +399,7 @@ def stabilizer_mod(
             raise ValueError(f"GL2 stabilizers need exp(G) = {table.e} to divide e = {e}")
         u_perms = braid_u_perms(table)
         for u in range(1, e + 1):
-            if np.gcd(u, e) != 1:
+            if gcd(u, e) != 1:
                 continue
             letters.append((f"U{u}", m_u(u % e), u_perms[_unit_rep(table, u, table.e)]))
     transversal = {class_idx: IDENT2}
@@ -455,14 +472,4 @@ def out_action_on_orbits(
                 raise InvariantViolation("outer action did not permute orbits")
             images.append(img_orbits.pop())
         perms.append(images)
-    reachable = {0}
-    changed = True
-    while changed:
-        changed = False
-        for p in perms:
-            for x in list(reachable):
-                if p[x] not in reachable:
-                    reachable.add(p[x])
-                    changed = True
-    transitive = len(reachable) == len(orbs)
-    return perms, transitive
+    return perms, len(perm_orbits(perms, len(orbs))) == 1

@@ -1,6 +1,7 @@
 """CLI surface: expression parsing, subcommands, exit codes, caching."""
 
 import json
+import re
 
 import pytest
 
@@ -37,8 +38,6 @@ def test_parse_errors_carry_offsets():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(command="ring", max_group=0)
-    with pytest.raises(ValueError):
-        RunConfig(command="ring", threads=0)
 
 
 def run_json(capsys, argv):
@@ -171,6 +170,36 @@ def test_corrupt_cache_recovers(capsys, tmp_path):
     code2, doc2 = run_json(capsys, argv)
     assert code2 == 0
     assert doc1 == doc2
+
+
+def test_cached_table_failing_its_checks_is_recomputed(capsys, tmp_path):
+    argv = ["--cache-dir", str(tmp_path), "orbits", "S3"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    (cache_file,) = tmp_path.glob("table-*.json")
+    data = json.loads(cache_file.read_text())
+    data["table"]["perm_s"] = [0] * len(data["table"]["perm_s"])
+    cache_file.write_text(json.dumps(data))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out)["orbits"] == [[0, 1, 2]]
+    assert "corrupt cache" in captured.err
+
+
+def test_cache_file_is_named_by_hash_only(capsys, tmp_path):
+    path = tmp_path / "group.json"
+    path.write_text(
+        json.dumps({"name": "../escaped", "degree": 3, "gen1": [[0, 1]], "gen2": [[0, 1, 2]]})
+    )
+    cache = tmp_path / "cache"
+    argv = ["--cache-dir", str(cache), "orbits", str(path)]
+    assert run(argv) == 0
+    names = [f.name for f in cache.iterdir()]
+    assert len(names) == 1 and re.fullmatch(r"table-[0-9a-f]{24}\.json", names[0])
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert "corrupt cache" not in capsys.readouterr().err
 
 
 def test_byte_identical_reports(tmp_path):

@@ -26,7 +26,6 @@ from metab.congruence import (
     one_plus_eX_check,
     one_plus_ex_matrices,
     sl2_order,
-    t_cycle_lengths,
     verify_action_level,
     wohlfahrt_level,
     word_from_matrix,

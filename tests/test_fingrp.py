@@ -3,7 +3,11 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy.combinatorics import Permutation, PermutationGroup
 
 from metab.catalog import builtin_names, get_group, group_entry, load_group_dict
 from metab.errors import HypothesisError, InvariantViolation
@@ -19,6 +23,8 @@ from metab.fingrp import (
     inner_automorphism,
     kernel_ideal,
     outer_representatives,
+    perm_cycles,
+    perm_orbits,
     solve_commutator_power,
     stability_instance_from_group,
 )
@@ -306,3 +312,42 @@ def test_engineered_unstable_instance():
     for _ in range(30):
         r = (ring.random_elem(rng), ring.random_elem(rng))
         assert inst.stability_check(r) == inst.brute_stability(r)
+
+
+@st.composite
+def perms_with_fixed_points(draw, n):
+    """A permutation of range(n) moving only a drawn subset of the points."""
+    moved = draw(st.lists(st.integers(0, n - 1), unique=True))
+    p = list(range(n))
+    for x, y in zip(moved, draw(st.permutations(moved))):
+        p[x] = y
+    return p
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12).flatmap(perms_with_fixed_points))
+def test_perm_cycles_matches_sympy(p):
+    want = Permutation(p).full_cyclic_form
+    assert perm_cycles(tuple(p)) == want
+    assert perm_cycles(np.array(p)) == want
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(perms_with_fixed_points(n), min_size=1, max_size=3)))
+def test_perm_orbits_matches_sympy(perms):
+    n = len(perms[0])
+    group = PermutationGroup([Permutation(p) for p in perms])
+    assert perm_orbits(perms, n) == sorted(sorted(orbit) for orbit in group.orbits())
+    assert perm_orbits([np.array(p) for p in perms], n) == perm_orbits(perms, n)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_classes_and_derived_subgroup_match_sympy(name):
+    G = get_group(name)
+    group = PermutationGroup([Permutation(list(G.elements[g])) for g in G.pair])
+    sizes = sorted(len(cls) for cls in group.conjugacy_classes())
+    assert sorted(len(cls) for cls in G.conjugacy_classes()) == sizes
+    assert sorted(sum(G.conjugacy_classes(), [])) == list(range(G.order))
+    derived = {G.index[tuple(g.array_form)] for g in group.derived_subgroup().elements}
+    assert G.derived_subgroup() == sorted(derived)

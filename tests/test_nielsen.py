@@ -1,12 +1,13 @@
 """Nielsen-move action tables, orbits, stabilizers, and the Out(G)-action."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
 from congruence_oracle import closure_tuples, decode
-from metab.catalog import get_group
+from metab.catalog import builtin_groups, get_group
 from metab.errors import BudgetError
 from metab.nielsen import (
     ActionTable,
@@ -185,8 +186,41 @@ def test_out_action_transitive():
         assert transitive, name
 
 
-def test_threaded_table_identical():
-    G = get_group("D4")
-    t1 = ActionTable(G, threads=1)
-    t2 = ActionTable(G, threads=3)
-    assert t1.to_json() == t2.to_json()
+@pytest.mark.parametrize(
+    "name", [name for name, G in sorted(builtin_groups().items()) if G.order <= 64]
+)
+def test_from_json_round_trip(name):
+    G = get_group(name)
+    table = ActionTable(G)
+    back = ActionTable.from_json(G, json.loads(json.dumps(table.to_json())))
+    assert back.classes == table.classes and back.index == table.index
+    assert back.units == table.units and back.perm_u.keys() == table.perm_u.keys()
+    for letter in ["S", "T", "s", "t"] + [f"U{u}" for u in table.units]:
+        assert np.array_equal(back.letter_perm(letter), table.letter_perm(letter))
+
+
+def corrupted(data, key, value):
+    return {**data, key: value}
+
+
+def test_from_json_rejects_inconsistent_tables():
+    G = get_group("S3")
+    data = ActionTable(G).to_json()
+    n = len(data["classes"])
+    bad = [
+        corrupted(data, "e", 2),
+        corrupted(data, "perm_u", {"1": data["perm_u"]["1"]}),
+        corrupted(data, "classes", [data["classes"][0]] * n),
+        corrupted(data, "classes", [[0, G.order]] + data["classes"][1:]),
+        corrupted(data, "classes", [[0, 1, 2]] + data["classes"][1:]),
+        corrupted(data, "perm_s", [0] * n),
+        corrupted(data, "perm_t", data["perm_t"][:-1]),
+        # a permutation of the classes, but S^4 != 1
+        corrupted(data, "perm_s", list(range(1, n)) + [0]),
+        # S is intact, but (ST)^3 = S^3 = S != 1
+        corrupted(data, "perm_t", list(range(n))),
+    ]
+    for item in bad:
+        with pytest.raises(ValueError):
+            ActionTable.from_json(G, item)
+    ActionTable.from_json(G, data)
