@@ -34,7 +34,6 @@ from .iacalc import IAEndo, gen_det, ia_apply, ia_classify, ia_compose, ia_det, 
 from .fingrp import (
     FinGroup,
     ModuleCtx,
-    automorphism_group,
     group_make,
     hom_extends,
     ia_descend,

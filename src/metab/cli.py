@@ -8,7 +8,8 @@ table that fails `ActionTable.from_json`'s checks is recomputed.
 
 Exit codes: 0 success, 2 budget exceeded, 3 parse/config error, 4 a
 paper-level invariant failed (the interesting one: a desk-scale
-counterexample to the theory would land here).
+counterexample to the theory would land here), 5 internal error (a
+self-check of the program failed; a bug, not a verdict on the theory).
 """
 
 from __future__ import annotations
@@ -437,6 +438,9 @@ def run(argv: list[str]) -> int:
     except InvariantViolation as err:
         print(f"PAPER-INVARIANT VIOLATION: {err}", file=sys.stderr)
         return 4
+    except RuntimeError as err:  # after BudgetError, which subclasses it
+        print(f"internal error: {err}", file=sys.stderr)
+        return 5
     return 0
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import BudgetError
 from .fingrp import perm_cycles
 from .nielsen import (IDENT2, M_S, M_T, ActionTable, first_new, mat_det, mat_encode, mat_mul,
-                      mul_codes, orbits, sl2_order)
+                      mul_codes, sl2_order)
 
 LETTERS = "STst"
 _LETTER_MATS = {
@@ -206,10 +206,10 @@ def one_plus_eX_check(table: ActionTable, e: int) -> bool:
     return True
 
 
-def wohlfahrt_level(table: ActionTable, class_idx: int) -> int:
-    """lcm of the T-cycle lengths on the orbit of the class (cusp widths)."""
-    orbit = set(next(orb for orb in orbits(table, "SL2") if class_idx in orb))
-    return lcm(*(len(c) for c in perm_cycles(table.perm_t) if c[0] in orbit))
+def wohlfahrt_level(table: ActionTable, orbit) -> int:
+    """lcm of the T-cycle lengths through the members of an SL2-orbit (cusp widths)."""
+    members = set(orbit)
+    return lcm(*(len(c) for c in perm_cycles(table.perm_t) if c[0] in members))
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,8 @@
 `perm_cycles` walks the cycles of one permutation and `perm_orbits` the
 orbits of a set of permutations; cusp widths, Wohlfahrt levels, SL2/GL2-
 orbits and the Out(G)-action on orbits are all read off these two.
+`outer_representatives` reads Out(G) off the classes of generating pairs,
+one homomorphism check per class, without enumerating Aut(G).
 
 Groups are closures of an ordered generating pair of permutations; elements
 are stored sorted by image tuple and all canonical forms refer to that
@@ -270,15 +272,8 @@ class Endo:
     def __eq__(self, other):
         return isinstance(other, Endo) and self.mapping == other.mapping
 
-    def __hash__(self):
-        return hash(self.mapping)
-
     def __call__(self, i: int) -> int:
         return self.mapping[i]
-
-    def compose(self, other: Endo) -> Endo:
-        """self after other."""
-        return Endo(self.group, tuple(self.mapping[x] for x in other.mapping))
 
     @property
     def is_bijective(self) -> bool:
@@ -317,51 +312,19 @@ def hom_extends(G: FinGroup, pair, images) -> Endo | None:
     return Endo(G, mapping)
 
 
-def inner_automorphism(G: FinGroup, by: int) -> Endo:
-    return Endo(G, tuple(G.conj(i, by) for i in range(G.order)))
+def outer_representatives(G: FinGroup, reps) -> list[Endo]:
+    """One automorphism per coset of Inn(G) in Aut(G), read off the class list.
 
-
-def automorphism_group(G: FinGroup, budget: int = 2000) -> list[Endo]:
-    """All automorphisms, by brute force over candidate image pairs.
-
-    Candidates are filtered by element order and conjugacy class size before
-    the graph-subgroup check; the remaining bijectivity is automatic once the
-    images generate.  Deterministic ordering by mapping tuple.
+    `reps` are the representatives of the generating pairs of G up to
+    simultaneous conjugation.  Aut(G) acts freely on generating pairs, so
+    sigma -> class of sigma(G.pair) maps Out(G) bijectively onto the classes
+    whose representative is the image of a homomorphism from G.pair; each
+    such map is onto, hence an automorphism.
     """
-    if G.order > budget:
-        raise BudgetError(f"|G| = {G.order} exceeds automorphism budget {budget}")
-    orders = G.element_orders()
-    o1, o2 = orders[G.g1], orders[G.g2]
-    c1, c2 = G.class_size(G.g1), G.class_size(G.g2)
-    cands1 = [i for i in range(G.order) if orders[i] == o1 and G.class_size(i) == c1]
-    cands2 = [i for i in range(G.order) if orders[i] == o2 and G.class_size(i) == c2]
-    out = []
-    for h1 in cands1:
-        for h2 in cands2:
-            if not G.generates((h1, h2)):
-                continue
-            endo = hom_extends(G, G.pair, (h1, h2))
-            if endo is not None:
-                out.append(endo)
-    out.sort(key=lambda e: e.mapping)
-    if not all(e.is_bijective for e in out):
-        raise RuntimeError("automorphism search returned a non-bijective map")
+    out = [endo for endo in (hom_extends(G, G.pair, rep) for rep in reps) if endo is not None]
+    if not all(endo.is_bijective for endo in out):
+        raise RuntimeError("outer representative is not a bijection")
     return out
-
-
-def outer_representatives(G: FinGroup, auts: list[Endo] | None = None) -> list[Endo]:
-    """One representative per coset of Inn(G) in Aut(G)."""
-    if auts is None:
-        auts = automorphism_group(G)
-    inner = {inner_automorphism(G, i) for i in range(G.order)}
-    reps = []
-    covered: set[Endo] = set()
-    for a in auts:
-        if a in covered:
-            continue
-        reps.append(a)
-        covered.update(a.compose(i) for i in inner)
-    return reps
 
 
 class ModuleCtx:

@@ -230,7 +230,7 @@ def component_report(
     for oi, orb in enumerate(sl_orbits):
         proj = projectivize(table, orb)
         inv = curve_invariants(proj)
-        wl = wohlfahrt_level(table, orb[0])
+        wl = wohlfahrt_level(table, orb)
         if full and e % wl:
             raise InvariantViolation("wohlfahrt level does not divide the certified level")
         gi = gl_of_class.get(orb[0])

@@ -29,7 +29,7 @@ from math import gcd, prod
 import numpy as np
 
 from .errors import BudgetError, InvariantViolation
-from .fingrp import Endo, FinGroup, outer_representatives, perm_orbits
+from .fingrp import FinGroup, outer_representatives, perm_orbits
 from .grpring import _factor_prime_powers
 
 M_S = ((0, -1), (1, 0))
@@ -218,8 +218,8 @@ class ActionTable:
         """The table `to_json` wrote, checked against the group.
 
         Raises ValueError unless e = exp(G) with exactly the units mod e, the
-        representatives are distinct pairs of elements, every move is a
-        permutation of the classes, and S^4 = (ST)^3 = 1 with S^2 central.
+        representatives are distinct canonical generating pairs, every move
+        is a permutation of the classes, and S^4 = (ST)^3 = 1 with S^2 central.
         """
         table = cls.__new__(cls)
         table.group, table.e = group, int(data["e"])
@@ -230,6 +230,8 @@ class ActionTable:
             len(rep) != 2 or not all(0 <= h < group.order for h in rep) for rep in reps
         ):
             raise ValueError("class representatives are not distinct pairs of elements")
+        if not all(group.generates(rep) and canonical_pair(group, rep) == rep for rep in reps):
+            raise ValueError("class representatives are not canonical generating pairs")
         table.classes = [EpiClass(group, rep) for rep in reps]
         table.index = {rep: i for i, rep in enumerate(reps)}
         ident = np.arange(len(reps))
@@ -446,17 +448,19 @@ def out_action_on_orbits(
 ) -> tuple[list[list[int]], bool]:
     """Permutations of the GL2-orbits induced by Out(G), plus transitivity.
 
+    Out(G) is taken from the table's own classes (`outer_representatives`).
     Post-composition with an automorphism commutes with the source moves, so
-    each outer representative permutes the orbits; the expected verdict for
-    metabelian G is a transitive action (on the braid orbits, hence also on
-    the coarser plain-twist orbits).
+    each outer representative permutes the orbits; this is spot-checked on
+    two members per orbit.  The expected verdict for metabelian G is a
+    transitive action (on the braid orbits, hence also on the coarser
+    plain-twist orbits).
     """
     orbs = orbits(table, ambient, braid)
     orbit_of = {}
     for i, orb in enumerate(orbs):
         for x in orb:
             orbit_of[x] = i
-    reps = outer_representatives(G)
+    reps = outer_representatives(G, [c.rep for c in table.classes])
     perms = []
     for sigma in reps:
         images = []

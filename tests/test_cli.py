@@ -187,6 +187,31 @@ def test_cached_table_failing_its_checks_is_recomputed(capsys, tmp_path):
     assert "corrupt cache" in captured.err
 
 
+@pytest.mark.parametrize("command", ["orbits", "components"])
+def test_cached_non_generating_representative_is_recomputed(capsys, tmp_path, command):
+    argv = ["--cache-dir", str(tmp_path), command, "S3"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    (cache_file,) = tmp_path.glob("table-*.json")
+    data = json.loads(cache_file.read_text())
+    data["table"]["classes"][0] = [0, 0]
+    cache_file.write_text(json.dumps(data))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == doc
+    assert "corrupt cache" in captured.err
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("self-check failed")
+
+    monkeypatch.setattr("metab.cli.component_report", broken)
+    assert run(["components", "S3"]) == 5
+    assert "internal error: self-check failed" in capsys.readouterr().err
+
+
 def test_cache_file_is_named_by_hash_only(capsys, tmp_path):
     path = tmp_path / "group.json"
     path.write_text(

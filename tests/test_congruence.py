@@ -31,7 +31,7 @@ from metab.congruence import (
     word_from_matrix,
 )
 from metab.errors import BudgetError
-from metab.nielsen import IDENT2, M_S, M_T, ActionTable, act, gl2_order, mat_mod, mat_mul
+from metab.nielsen import IDENT2, M_S, M_T, ActionTable, act, gl2_order, mat_mod, mat_mul, orbits
 
 
 def random_word(rng, max_len=30):
@@ -186,12 +186,13 @@ def test_level_1_means_trivial_action():
 
 def test_wohlfahrt_levels():
     t22 = ActionTable(get_group("Z2xZ2"))
-    assert all(wohlfahrt_level(t22, i) == 2 for i in range(len(t22.classes)))
+    assert all(wohlfahrt_level(t22, orb) == 2 for orb in orbits(t22, "SL2"))
     ts3 = ActionTable(get_group("S3"))
-    assert wohlfahrt_level(ts3, 0) == 2
+    (orb,) = orbits(ts3, "SL2")
+    assert wohlfahrt_level(ts3, orb) == 2
     # wohlfahrt divides any verified level
     assert verify_action_level(ts3, 6)
-    assert 6 % wohlfahrt_level(ts3, 0) == 0
+    assert 6 % wohlfahrt_level(ts3, orb) == 0
 
 
 def test_certificate_shape():

@@ -9,18 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from metab.catalog import builtin_names, get_group, group_entry, load_group_dict
+from fingrp_oracle import automorphism_group, inner_automorphism, inner_cosets, inner_order
+from metab.catalog import builtin_groups, builtin_names, get_group, group_entry, load_group_dict
 from metab.errors import HypothesisError, InvariantViolation
 from metab.fingrp import (
     AbelianStructure,
     ModuleCtx,
     StabilityInstance,
-    automorphism_group,
     group_make,
     hom_extends,
     ia_descend,
     inertia_relation_check,
-    inner_automorphism,
     kernel_ideal,
     outer_representatives,
     perm_cycles,
@@ -29,6 +28,7 @@ from metab.fingrp import (
     stability_instance_from_group,
 )
 from metab.grpring import ring_make
+from metab.nielsen import epi_classes
 
 
 def test_s3_structure():
@@ -193,14 +193,40 @@ def test_hom_extends_agrees_with_naive_check():
             assert (endo is not None) == ok
 
 
+def class_reps(G):
+    return [c.rep for c in epi_classes(G)]
+
+
 def test_automorphism_groups():
     assert len(automorphism_group(get_group("S3"))) == 6
-    assert len(outer_representatives(get_group("S3"))) == 1
+    assert len(outer_representatives(get_group("S3"), class_reps(get_group("S3")))) == 1
     assert len(automorphism_group(get_group("Z2xZ2"))) == 6  # GL2(F2)
     auts = automorphism_group(get_group("Q8"))
     assert len(auts) == 24
     ident = tuple(range(get_group("Q8").order))
     assert any(a.mapping == ident for a in auts)
+
+
+def agl1_7():
+    return group_make(7, [list(range(7))], [[1, 3, 2, 6, 4, 5]])  # x + 1 and 3x mod 7
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name, G in sorted(builtin_groups().items()) if G.order <= 64] + ["AGL1_7"],
+)
+def test_outer_representatives_match_oracle(name):
+    G = agl1_7() if name == "AGL1_7" else get_group(name)
+    reps = outer_representatives(G, class_reps(G))
+    for sigma in reps:  # each is an automorphism
+        m = np.array(sigma.mapping)
+        assert sorted(sigma.mapping) == list(range(G.order))
+        assert np.array_equal(m[G.table], G.table[m[:, None], m[None, :]])
+    auts = automorphism_group(G)
+    inn = inner_order(G)
+    assert len(auts) % inn == 0 and len(reps) == len(auts) // inn
+    # pairwise distinct Inn-cosets, and every coset of Aut(G) is hit
+    assert inner_cosets(G, reps) == inner_cosets(G, auts)
 
 
 METABELIAN = ["S3", "D4", "D5", "D6", "Q8", "Heis27", "C7C3", "Z2xZ2", "Z3xZ3"]

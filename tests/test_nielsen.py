@@ -5,10 +5,14 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from congruence_oracle import closure_tuples, decode
+from fingrp_oracle import automorphism_group, inner_cosets, inner_order
 from metab.catalog import builtin_groups, get_group
 from metab.errors import BudgetError
+from metab.fingrp import FinGroup, outer_representatives
 from metab.nielsen import (
     ActionTable,
     EpiClass,
@@ -219,8 +223,34 @@ def test_from_json_rejects_inconsistent_tables():
         corrupted(data, "perm_s", list(range(1, n)) + [0]),
         # S is intact, but (ST)^3 = S^3 = S != 1
         corrupted(data, "perm_t", list(range(n))),
+        # a pair that does not generate, and a generating pair that is not canonical
+        corrupted(data, "classes", [[0, 0]] + data["classes"][1:]),
+        corrupted(data, "classes", [data["classes"][0][::-1]] + data["classes"][1:]),
     ]
     for item in bad:
         with pytest.raises(ValueError):
             ActionTable.from_json(G, item)
     ActionTable.from_json(G, data)
+
+
+def perm_pairs(degree):
+    return st.tuples(st.permutations(range(degree)), st.permutations(range(degree)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 5).flatmap(perm_pairs))
+def test_random_two_generated_groups(gens):
+    G = FinGroup(len(gens[0]), tuple(gens[0]), tuple(gens[1]))
+    assume(G.order <= 24)
+    table = ActionTable(G)
+    ident = np.arange(len(table))
+    s2 = table.word_perm("SS")
+    assert np.array_equal(s2[s2], ident)
+    assert np.array_equal(table.word_perm("STSTST"), ident)
+    assert np.array_equal(s2[table.perm_t], table.perm_t[s2])
+    ActionTable.from_json(G, json.loads(json.dumps(table.to_json())))
+    # Inn(G) = G/Z(G) acts freely on generating pairs
+    pairs = sum(G.generates((h1, h2)) for h1 in range(G.order) for h2 in range(G.order))
+    assert len(table) * inner_order(G) == pairs
+    reps = outer_representatives(G, [c.rep for c in table.classes])
+    assert len(reps) == len(inner_cosets(G, automorphism_group(G)))

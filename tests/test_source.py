@@ -1,11 +1,13 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).parent.parent / "src" / "metab").glob("*.py"))
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "metab").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -18,3 +20,20 @@ def test_no_assert_statements(path):
 
 def test_sources_found():
     assert len(SOURCES) > 10
+
+
+def test_tracer_targets_resolve():
+    # the benchmark tracer wraps these functions by name; a rename fails here
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for name, (module, path) in tracer.TARGETS.items():
+        try:
+            owner, attr = tracer._resolve(module, path)
+            found = attr in vars(owner)
+        except (ImportError, AttributeError):
+            found = False
+        if not found:
+            missing.append(name)
+    assert not missing, f"tracer targets missing from metab: {missing}"
