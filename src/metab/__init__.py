@@ -40,7 +40,7 @@ from .fingrp import (
     inertia_relation_check,
     kernel_ideal,
 )
-from .nielsen import ActionTable, act, epi_classes, orbits, out_action_on_orbits, stabilizer_mod
+from .nielsen import ActionTable, orbits, out_action_on_orbits, stabilizer_mod
 from .congruence import (
     LevelCertificate,
     certify,

@@ -98,8 +98,18 @@ def load_group_file(path: str) -> tuple[str, FinGroup]:
 
 
 def load_group_dict(data: dict) -> tuple[str, FinGroup]:
+    """The group a group file describes; ValueError unless it has the documented shape."""
+    if not isinstance(data, dict):
+        raise ValueError("a group file holds a JSON object")
     name = data.get("name", "unnamed")
-    degree = int(data["degree"])
-    g1 = perm_from_cycles(degree, data["gen1"])
-    g2 = perm_from_cycles(degree, data["gen2"])
-    return name, FinGroup(degree, g1, g2)
+    degree, gens = data["degree"], [data["gen1"], data["gen2"]]
+    if type(degree) is not int:
+        raise ValueError("degree is not an integer")
+    for key, gen in zip(("gen1", "gen2"), gens):
+        if not (
+            isinstance(gen, list)
+            and all(isinstance(cyc, list) for cyc in gen)
+            and all(type(x) is int and 0 <= x < degree for cyc in gen for x in cyc)
+        ):
+            raise ValueError(f"{key} is not a list of cycles over the points 0..{degree - 1}")
+    return name, FinGroup(degree, *(perm_from_cycles(degree, gen) for gen in gens))

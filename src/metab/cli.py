@@ -3,8 +3,9 @@
 Subcommands: ring, classify, orbits, components, certify, catalog.  Reports
 are deterministic JSON (plus a CSV summary for components).  Action tables
 are cached as `table-<hash>.json`, the hash covering the group data and the
-code version; a file is written whole and moved into place, and a cached
-table that fails `ActionTable.from_json`'s checks is recomputed.
+code version; a file is written whole and moved into place.  A cached table
+is trusted only as far as `ActionTable.from_json` rebuilds the table from
+the group and finds it equal; one that differs is recomputed and rewritten.
 
 Exit codes: 0 success, 2 budget exceeded, 3 parse/config error, 4 a
 paper-level invariant failed (the interesting one: a desk-scale
@@ -42,7 +43,6 @@ class RunConfig:
     level: int | None = None
     max_group: int = 2000
     max_ring: int = 10**4
-    max_classes: int = 10**6
     out: str | None = None
     csv_out: str | None = None
     cache_dir: str | None = None
@@ -51,7 +51,7 @@ class RunConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
-        if self.max_group <= 0 or self.max_ring <= 0 or self.max_classes <= 0:
+        if self.max_group <= 0 or self.max_ring <= 0:
             raise ValueError("budgets must be positive")
 
 
@@ -206,7 +206,7 @@ def _load_table(config: RunConfig, G: FinGroup) -> ActionTable:
                 return ActionTable.from_json(G, data["table"])
         except (ValueError, KeyError, TypeError, AttributeError):
             print(f"warning: corrupt cache {cache_file}, recomputing", file=sys.stderr)
-    table = ActionTable(G, budget=config.max_classes)
+    table = ActionTable(G)
     if cache_file:
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps({"version": __version__, "hash": key, "table": table.to_json()}))
@@ -298,7 +298,7 @@ def cmd_orbits(config: RunConfig) -> dict:
     doc = {
         "group": name,
         "e": table.e,
-        "classes": [list(c.rep) for c in table.classes],
+        "classes": [list(rep) for rep in table.classes],
         "ambient": ambient,
         "orbits": orbs,
     }
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", help="cache directory (or METAB_CACHE_DIR)")
     parser.add_argument("--max-group", type=int, default=2000, help="largest |G| accepted")
     parser.add_argument("--max-ring", type=int, default=10**4, help="largest |R|^2 for sweeps")
-    parser.add_argument("--max-classes", type=int, default=10**6, help="largest |G|^2 for pair enumeration")
     parser.add_argument("--out", help="write the JSON report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -408,7 +407,6 @@ def run(argv: list[str]) -> int:
         level=getattr(args, "level", None),
         max_group=args.max_group,
         max_ring=args.max_ring,
-        max_classes=args.max_classes,
         out=args.out,
         csv_out=getattr(args, "csv_out", None),
         cache_dir=args.cache_dir,

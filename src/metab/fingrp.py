@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd, lcm
 
 import numpy as np
@@ -148,8 +149,13 @@ class FinGroup:
     def inv(self, i: int) -> int:
         return int(self.inverse[i])
 
+    @cached_property
+    def conj_table(self) -> np.ndarray:
+        """conj_table[g, x] = g x g^-1."""
+        return self.table[self.table, self.inverse[:, None]]
+
     def conj(self, i: int, by: int) -> int:
-        return self.mul(self.mul(by, i), self.inv(by))
+        return int(self.conj_table[by, i])
 
     def commutator_elem(self, i: int, j: int) -> int:
         return self.mul(self.mul(i, j), self.mul(self.inv(i), self.inv(j)))
@@ -200,6 +206,29 @@ class FinGroup:
             frontier = nxt
         return seen
 
+    def generating(self, h1, h2) -> np.ndarray:
+        """Mask of the pairs (h1[i], h2[i]) that generate G.
+
+        All subgroups grow together, one right multiplication by each
+        generator per round, until no row grows.  For one pair the walk of
+        `generates` is faster.
+        """
+        h1, h2 = np.atleast_1d(h1), np.atleast_1d(h2)
+        chunk = max(1, 2**20 // self.order)  # about 10 MB of arrays per round
+        if h1.size > chunk:
+            return np.concatenate(
+                [self.generating(h1[i : i + chunk], h2[i : i + chunk]) for i in range(0, h1.size, chunk)]
+            )
+        # y is in seen h iff y h^-1 is in seen
+        back = [self.table[:, self.inverse[h]].T for h in (h1, h2)]
+        seen = np.zeros((h1.size, self.order), dtype=bool)
+        seen[:, self.identity] = True
+        while True:
+            grown = seen | np.take_along_axis(seen, back[0], 1) | np.take_along_axis(seen, back[1], 1)
+            if np.array_equal(grown, seen):
+                return seen.all(axis=1)
+            seen = grown
+
     def generates(self, pair) -> bool:
         return len(self.subgroup_closure(pair)) == self.order
 
@@ -240,8 +269,11 @@ class FinGroup:
 
     def conjugacy_classes(self) -> list[list[int]]:
         if self._classes is None:
-            conj_by = [self.table[self.table[g], self.inverse[g]] for g in self.pair]
-            self._classes = perm_orbits(conj_by, self.order)
+            least = self.conj_table.min(axis=0)
+            self._classes = [
+                np.flatnonzero(least == a).tolist()
+                for a in np.flatnonzero(least == np.arange(self.order))
+            ]
         return self._classes
 
     def class_size(self, i: int) -> int:

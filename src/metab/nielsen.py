@@ -2,7 +2,15 @@
 
 Epi^ext(F2, G) is realized as the set of generating pairs of G up to
 simultaneous conjugation, each class held by its lexicographically minimal
-representative (element order = image-tuple order of the group).  The moves
+representative (element order = image-tuple order of the group).  Inn(G)
+acts freely on generating pairs, so that representative needs no search:
+it is (a, b) with a the least conjugate of h1 and b the least element of
+the C_G(a)-orbit of t h2 t^-1, t any element conjugating h1 to a.
+`ActionTable` reads a, t and b off the conjugation table
+(`FinGroup.conj_table`), lists the classes as the pairs (a, b) with a a
+class minimum, b a C_G(a)-orbit minimum and <a, b> = G, and finds the
+class of any generating pairs with one gather and one binary search.  The
+moves
 
     S: (h1, h2) -> (h2, h1^-1)      T: (h1, h2) -> (h2 h1, h2)
     U(u): (h1, h2) -> (h1, h2^u)    (gcd(u, e) = 1)
@@ -23,12 +31,12 @@ closed over numpy frontiers of matrices encoded as one integer each
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd, prod
 
 import numpy as np
 
-from .errors import BudgetError, InvariantViolation
+from .errors import InvariantViolation
 from .fingrp import FinGroup, outer_representatives, perm_orbits
 from .grpring import _factor_prime_powers
 
@@ -104,86 +112,59 @@ def gl2_order(e: int) -> int:
     return sl2_order(e) * prod(p ** (k - 1) * (p - 1) for p, k in _factor_prime_powers(e))
 
 
-def canonical_pair(G: FinGroup, pair: tuple[int, int]) -> tuple[int, int]:
-    """Lexicographically minimal simultaneous conjugate of the pair."""
-    if G.is_abelian:
-        return (pair[0], pair[1])
-    h1, h2 = pair
-    best = None
-    for g in range(G.order):
-        cand = (G.conj(h1, g), G.conj(h2, g))
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-@dataclass(frozen=True)
-class EpiClass:
-    """Conjugacy class of generating pairs, held by its canonical representative."""
-
-    group: FinGroup = field(compare=False, hash=False, repr=False)
-    rep: tuple[int, int] = field(compare=True)
-
-
-def epi_classes(G: FinGroup, budget: int = 10**6) -> list[EpiClass]:
-    """All classes of Epi^ext(F2, G), sorted by canonical representative."""
-    if G.order**2 > budget:
-        raise BudgetError(f"|G|^2 = {G.order ** 2} exceeds budget {budget}")
-    reps = set()
-    for h1 in range(G.order):
-        for h2 in range(G.order):
-            if not G.generates((h1, h2)):
-                continue
-            reps.add(canonical_pair(G, (h1, h2)))
-    return [EpiClass(G, rep) for rep in sorted(reps)]
-
-
-def act_pair(G: FinGroup, move: str, pair: tuple[int, int], u: int | None = None):
-    h1, h2 = pair
-    if move == "S":
-        return (h2, G.inv(h1))
-    if move == "T":
-        return (G.mul(h2, h1), h2)
-    if move == "U":
-        return (h1, G.power(h2, u))
-    raise ValueError(f"unknown move {move!r}")
-
-
-def act(move: str, cls: EpiClass, u: int | None = None) -> EpiClass:
-    """Apply a move to a class (conjugation-compatible, so well-defined)."""
-    G = cls.group
-    if move == "U":
-        if u is None or gcd(u, G.exponent) != 1:
-            raise ValueError(f"u = {u} is not a unit mod {G.exponent}")
-    return EpiClass(G, canonical_pair(G, act_pair(G, move, cls.rep, u)))
-
-
 def _units(e: int) -> list[int]:
     return [u for u in range(1, e + 1) if gcd(u, e) == 1]
 
 
 class ActionTable:
-    """Classes of Epi^ext(F2, G) with the move permutations S, T, U(u)."""
+    """Classes of Epi^ext(F2, G) with the move permutations S, T, U(u).
 
-    def __init__(self, group: FinGroup, budget: int = 10**6):
-        self.group = group
-        self.e = group.exponent
-        self.classes = epi_classes(group, budget)
-        self.index = {cls.rep: i for i, cls in enumerate(self.classes)}
+    `classes` lists the canonical representatives (h1, h2) in ascending
+    order; `class_of` finds the class of any generating pairs.
+    """
 
-        def img(move, u=None):
-            return np.array([self.index[act(move, c, u).rep] for c in self.classes], dtype=np.int64)
+    def __init__(self, group: FinGroup):
+        G = self.group = group
+        self.e = G.exponent
+        conj, points = G.conj_table, np.arange(G.order)
+        # least[x] = transporter[x] x transporter[x]^-1 is the least conjugate of x
+        self._least = conj.min(axis=0)
+        self._transporter = conj.argmin(axis=0)
+        # for a class minimum a, orbit_least[a, y]: the least c y c^-1 over c in C_G(a)
+        self._orbit_least = np.zeros_like(conj)
+        firsts, seconds = [], []
+        for a in np.flatnonzero(self._least == points):
+            row = self._orbit_least[a] = conj[conj[:, a] == a].min(axis=0)
+            seconds.append(np.flatnonzero(row == points))
+            firsts.append(np.full(seconds[-1].size, a))
+        h1, h2 = np.concatenate(firsts), np.concatenate(seconds)
+        keep = G.generating(h1, h2)
+        h1, h2 = h1[keep], h2[keep]
+        self.classes = list(zip(h1.tolist(), h2.tolist()))
+        self._codes = h1 * G.order + h2
 
-        self.perm_s = img("S")
-        self.perm_t = img("T")
+        self.perm_s = self.class_of(h2, G.inverse[h1])
+        self.perm_t = self.class_of(G.table[h2, h1], h2)
         self.units = _units(self.e)
-        self.perm_u = {u: img("U", u) for u in self.units}
+        powers = [np.full_like(h2, G.identity)]  # powers[k] = h2^k
+        for _ in range(self.e):
+            powers.append(G.table[powers[-1], h2])
+        self.perm_u = {u: self.class_of(h1, powers[u]) for u in self.units}
 
     def __len__(self):
         return len(self.classes)
 
-    def class_of(self, pair: tuple[int, int]) -> int:
-        return self.index[canonical_pair(self.group, pair)]
+    def class_of(self, h1, h2) -> np.ndarray:
+        """Class indices of the pairs (h1[i], h2[i]); KeyError unless each generates G."""
+        G = self.group
+        h1, h2 = np.asarray(h1), np.asarray(h2)
+        a = self._least[h1]
+        b = self._orbit_least[a, G.conj_table[self._transporter[h1], h2]]
+        codes = a.astype(np.int64) * G.order + b
+        idx = np.searchsorted(self._codes, codes).clip(max=len(self._codes) - 1)
+        if not np.array_equal(self._codes[idx], codes):
+            raise KeyError("pair does not generate the group")
+        return idx
 
     def letter_perm(self, letter: str) -> np.ndarray:
         """Permutation of a word letter: S, s, T, t or U<u>."""
@@ -207,7 +188,7 @@ class ActionTable:
     def to_json(self) -> dict:
         return {
             "e": self.e,
-            "classes": [list(c.rep) for c in self.classes],
+            "classes": [list(rep) for rep in self.classes],
             "perm_s": [int(x) for x in self.perm_s],
             "perm_t": [int(x) for x in self.perm_t],
             "perm_u": {str(u): [int(x) for x in p] for u, p in self.perm_u.items()},
@@ -215,45 +196,10 @@ class ActionTable:
 
     @classmethod
     def from_json(cls, group: FinGroup, data: dict) -> ActionTable:
-        """The table `to_json` wrote, checked against the group.
-
-        Raises ValueError unless e = exp(G) with exactly the units mod e, the
-        representatives are distinct canonical generating pairs, every move
-        is a permutation of the classes, and S^4 = (ST)^3 = 1 with S^2 central.
-        """
-        table = cls.__new__(cls)
-        table.group, table.e = group, int(data["e"])
-        if table.e != group.exponent:
-            raise ValueError(f"table has e = {table.e}, but exp(G) = {group.exponent}")
-        reps = [tuple(int(h) for h in rep) for rep in data["classes"]]
-        if len(set(reps)) != len(reps) or any(
-            len(rep) != 2 or not all(0 <= h < group.order for h in rep) for rep in reps
-        ):
-            raise ValueError("class representatives are not distinct pairs of elements")
-        if not all(group.generates(rep) and canonical_pair(group, rep) == rep for rep in reps):
-            raise ValueError("class representatives are not canonical generating pairs")
-        table.classes = [EpiClass(group, rep) for rep in reps]
-        table.index = {rep: i for i, rep in enumerate(reps)}
-        ident = np.arange(len(reps))
-
-        def move(perm):
-            perm = np.array(perm, dtype=np.int64)
-            if perm.shape != ident.shape or not np.array_equal(np.sort(perm), ident):
-                raise ValueError("a move is not a permutation of the classes")
-            return perm
-
-        table.perm_s, table.perm_t = move(data["perm_s"]), move(data["perm_t"])
-        table.perm_u = {int(u): move(p) for u, p in data["perm_u"].items()}
-        table.units = sorted(table.perm_u)
-        if table.units != _units(table.e):
-            raise ValueError(f"table units are not the units mod {table.e}")
-        s2 = table.word_perm("SS")
-        if not (
-            np.array_equal(s2[s2], ident)
-            and np.array_equal(table.word_perm("STSTST"), ident)
-            and np.array_equal(s2[table.perm_t], table.perm_t[s2])
-        ):
-            raise ValueError("moves violate S^4 = 1, (ST)^3 = 1 or S^2 central")
+        """The table of the group, rebuilt; ValueError unless `data` is its `to_json`."""
+        table = cls(group)
+        if data != table.to_json():
+            raise ValueError("cached table differs from the table rebuilt from the group")
         return table
 
 
@@ -288,7 +234,7 @@ def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
     from .fingrp import ModuleCtx
     from .grpring import try_invert
 
-    mcs = [ModuleCtx(G, cls.rep) for cls in table.classes]
+    mcs = [ModuleCtx(G, rep) for rep in table.classes]
     ring = mcs[0].ring
     one = ring.one()
     v = one - ring.monomial(0, 1)
@@ -309,13 +255,12 @@ def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
             raise InvariantViolation("braid determinant equation is unsolvable")
         r1 = ring.elem(sol[:m2].reshape(ring.m, ring.m))
         r2_geom = ring.elem(sol[m2:].reshape(ring.m, ring.m)) * geom
-        images = []
-        for mc, cls in zip(mcs, table.classes):
-            h1, h2 = cls.rep
-            n1 = G.mul(mc.module_evaluate(r1, mc.c), h1)
-            n2 = G.mul(mc.module_evaluate(r2_geom, mc.c), G.power(h2, u))
-            images.append(table.index[canonical_pair(G, (n1, n2))])
-        out[u] = np.array(images, dtype=np.int64)
+        moved = [
+            (G.mul(mc.module_evaluate(r1, mc.c), h1),
+             G.mul(mc.module_evaluate(r2_geom, mc.c), G.power(h2, u)))
+            for mc, (h1, h2) in zip(mcs, table.classes)
+        ]
+        out[u] = table.class_of(*zip(*moved))
     ident = np.arange(len(table.classes))
     if not np.array_equal(out[1], ident):
         raise InvariantViolation("braid u-twist at u = 1 is not the identity")
@@ -456,24 +401,20 @@ def out_action_on_orbits(
     plain-twist orbits).
     """
     orbs = orbits(table, ambient, braid)
-    orbit_of = {}
+    orbit_of = np.empty(len(table), dtype=np.int64)
     for i, orb in enumerate(orbs):
-        for x in orb:
-            orbit_of[x] = i
-    reps = outer_representatives(G, [c.rep for c in table.classes])
+        orbit_of[orb] = i
+    # the action permutes orbits (post-composition commutes with the moves):
+    # map the smallest member of each orbit, spot-check one more
+    spots = np.array([x for orb in orbs for x in orb[:2]])
+    h1, h2 = np.array(table.classes)[spots].T
     perms = []
-    for sigma in reps:
-        images = []
-        for orb in orbs:
-            # the action permutes orbits (post-composition commutes with the
-            # moves); map the representative, spot-check one more member
-            img_orbits = set()
-            for x in orb[: min(2, len(orb))]:
-                h1, h2 = table.classes[x].rep
-                moved = table.class_of((sigma(h1), sigma(h2)))
-                img_orbits.add(orbit_of[moved])
-            if len(img_orbits) != 1:
-                raise InvariantViolation("outer action did not permute orbits")
-            images.append(img_orbits.pop())
-        perms.append(images)
+    for sigma in outer_representatives(G, table.classes):
+        mapping = np.array(sigma.mapping)
+        moved = orbit_of[table.class_of(mapping[h1], mapping[h2])]
+        images = np.empty(len(orbs), dtype=np.int64)
+        images[orbit_of[spots]] = moved
+        if not np.array_equal(images[orbit_of[spots]], moved):
+            raise InvariantViolation("outer action did not permute orbits")
+        perms.append(images.tolist())
     return perms, len(perm_orbits(perms, len(orbs))) == 1

@@ -203,6 +203,52 @@ def test_cached_non_generating_representative_is_recomputed(capsys, tmp_path, co
     assert "corrupt cache" in captured.err
 
 
+@pytest.mark.parametrize("command", ["orbits", "components"])
+def test_cached_relabelled_table_is_recomputed(capsys, tmp_path, command):
+    # swapping two class labels in every move passes any check on the
+    # permutations alone; at the parent, orbits printed wrong orbits with exit
+    # 0 and components exited 4 on an orbit-stabilizer mismatch
+    argv = ["--cache-dir", str(tmp_path), command, "C7C3"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0
+    (cache_file,) = tmp_path.glob("table-*.json")
+    data = json.loads(cache_file.read_text())
+    table = data["table"]
+    swap = {0: 3, 3: 0}
+
+    def relabel(perm):
+        out = list(perm)
+        for x, y in enumerate(perm):
+            out[swap.get(x, x)] = swap.get(y, y)
+        return out
+
+    table["perm_s"], table["perm_t"] = relabel(table["perm_s"]), relabel(table["perm_t"])
+    table["perm_u"] = {u: relabel(p) for u, p in table["perm_u"].items()}
+    cache_file.write_text(json.dumps(data))
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert json.loads(captured.out) == doc
+    assert "corrupt cache" in captured.err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        {"name": "g", "degree": 3, "gen1": [[0, 5]], "gen2": [[0, 1, 2]]},
+        {"name": "g", "degree": 3, "gen1": 7, "gen2": [[0, 1, 2]]},
+        [1, 2],
+        {"name": "g", "degree": 3, "gen1": [["a", 1]], "gen2": [[0, 1, 2]]},
+    ],
+    ids=["point-out-of-range", "generator-not-a-list", "not-an-object", "point-not-an-integer"],
+)
+def test_malformed_group_file_exit_code(capsys, tmp_path, content):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(content))
+    assert run(["orbits", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_internal_error_exit_code(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("self-check failed")

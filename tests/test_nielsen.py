@@ -11,19 +11,15 @@ from hypothesis import strategies as st
 from congruence_oracle import closure_tuples, decode
 from fingrp_oracle import automorphism_group, inner_cosets, inner_order
 from metab.catalog import builtin_groups, get_group
-from metab.errors import BudgetError
-from metab.fingrp import FinGroup, outer_representatives
+from metab.fingrp import FinGroup, group_make, outer_representatives
 from metab.nielsen import (
     ActionTable,
-    EpiClass,
-    act,
-    canonical_pair,
-    epi_classes,
     matrix_group_closure,
     orbits,
     out_action_on_orbits,
     stabilizer_mod,
 )
+from nielsen_oracle import act, canonical_pair, epi_classes, move_perms
 
 
 def test_epi_class_counts():
@@ -34,13 +30,9 @@ def test_epi_class_counts():
     assert len(epi_classes(get_group("Z5xZ5"))) == 480
 
 
-def test_epi_classes_budget():
-    with pytest.raises(BudgetError):
-        epi_classes(get_group("S3"), budget=4)
-
-
 def test_canonicalization_idempotent_and_well_defined():
     G = get_group("S3")
+    table = ActionTable(G)
     rng = random.Random(2)
     pairs = [
         (h1, h2)
@@ -55,9 +47,15 @@ def test_canonicalization_idempotent_and_well_defined():
         g = rng.randrange(G.order)
         conj = (G.conj(pair[0], g), G.conj(pair[1], g))
         assert canonical_pair(G, conj) == canon
-        cls = EpiClass(G, canon)
+        assert table.classes[table.class_of(*conj)] == canon
         for move in ("S", "T"):
-            assert act(move, EpiClass(G, canonical_pair(G, conj))) == act(move, cls)
+            assert act(G, move, canonical_pair(G, conj)) == act(G, move, canon)
+
+
+def test_class_of_rejects_non_generating_pairs():
+    table = ActionTable(get_group("S3"))
+    with pytest.raises(KeyError):
+        table.class_of([0, 1], [0, 0])
 
 
 def test_move_relations():
@@ -79,13 +77,13 @@ def test_move_relations():
 def test_act_formulas():
     G = get_group("S3")
     table = ActionTable(G)
-    cls = table.classes[0]
-    h1, h2 = cls.rep
-    assert act("S", act("S", act("S", act("S", cls)))) == cls
-    ss = act("S", act("S", cls))
-    assert ss.rep == canonical_pair(G, (G.inv(h1), G.inv(h2)))
+    rep = table.classes[0]
+    h1, h2 = rep
+    assert act(G, "S", act(G, "S", act(G, "S", act(G, "S", rep)))) == rep
+    ss = act(G, "S", act(G, "S", rep))
+    assert ss == canonical_pair(G, (G.inv(h1), G.inv(h2)))
     with pytest.raises(ValueError):
-        act("U", cls, u=2)  # gcd(2, 6) != 1
+        act(G, "U", rep, u=2)  # gcd(2, 6) != 1
 
 
 def test_commutator_class_invariant_along_moves():
@@ -93,8 +91,7 @@ def test_commutator_class_invariant_along_moves():
     for name in ["S3", "D4", "Q8", "Heis27", "C7C3", "D6"]:
         G = get_group(name)
         table = ActionTable(G)
-        for cls in table.classes:
-            h1, h2 = cls.rep
+        for h1, h2 in table.classes:
             base = G.class_size(G.commutator_elem(h1, h2))
             base_cls = next(
                 i
@@ -102,7 +99,7 @@ def test_commutator_class_invariant_along_moves():
                 if G.commutator_elem(h1, h2) in c
             )
             for move in ("S", "T"):
-                m1, m2 = act(move, cls).rep
+                m1, m2 = act(G, move, (h1, h2))
                 moved = G.commutator_elem(m1, m2)
                 got = next(
                     i for i, c in enumerate(G.conjugacy_classes()) if moved in c
@@ -197,7 +194,7 @@ def test_from_json_round_trip(name):
     G = get_group(name)
     table = ActionTable(G)
     back = ActionTable.from_json(G, json.loads(json.dumps(table.to_json())))
-    assert back.classes == table.classes and back.index == table.index
+    assert back.classes == table.classes
     assert back.units == table.units and back.perm_u.keys() == table.perm_u.keys()
     for letter in ["S", "T", "s", "t"] + [f"U{u}" for u in table.units]:
         assert np.array_equal(back.letter_perm(letter), table.letter_perm(letter))
@@ -252,5 +249,21 @@ def test_random_two_generated_groups(gens):
     # Inn(G) = G/Z(G) acts freely on generating pairs
     pairs = sum(G.generates((h1, h2)) for h1 in range(G.order) for h2 in range(G.order))
     assert len(table) * inner_order(G) == pairs
-    reps = outer_representatives(G, [c.rep for c in table.classes])
+    reps = outer_representatives(G, table.classes)
     assert len(reps) == len(inner_cosets(G, automorphism_group(G)))
+    assert_matches_oracle(G, table)
+
+
+def assert_matches_oracle(G, table):
+    assert table.classes == epi_classes(G)
+    for letter, perm in move_perms(G, table.units).items():
+        assert table.letter_perm(letter).tolist() == perm, letter
+
+
+@pytest.mark.parametrize("name", sorted(builtin_groups()) + ["AGL1_7"])
+def test_classes_and_moves_match_oracle(name):
+    if name == "AGL1_7":  # x + 1 and 3x mod 7
+        G = group_make(7, [list(range(7))], [[1, 3, 2, 6, 4, 5]])
+    else:
+        G = get_group(name)
+    assert_matches_oracle(G, ActionTable(G))
