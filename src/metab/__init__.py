@@ -10,27 +10,9 @@ resulting moduli components.
 __version__ = "0.1.0"
 
 from .errors import BudgetError, HypothesisError, InvariantViolation, ParseError
-from .grpring import (
-    RingCtx,
-    RingElem,
-    SpecialSplit,
-    augmentation,
-    local_decompose,
-    monomial_part,
-    ring_make,
-    special_split,
-    try_invert,
-)
-from .magnus import (
-    MagnusElem,
-    commutator,
-    enumerate_w,
-    gens,
-    kappa_elem,
-    membership,
-    section,
-)
-from .iacalc import IAEndo, gen_det, ia_apply, ia_classify, ia_compose, ia_det, ia_matrix
+from .grpring import RingCtx, RingElem, augmentation, monomial_part, ring_make, try_invert
+from .magnus import MagnusElem, enumerate_w, gens, membership, section
+from .iacalc import IAEndo, ia_apply, ia_classify, ia_det, ia_matrix
 from .fingrp import (
     FinGroup,
     ModuleCtx,

@@ -7,10 +7,24 @@ code version; a file is written whole and moved into place.  A cached table
 is trusted only as far as `ActionTable.from_json` rebuilds the table from
 the group and finds it equal; one that differs is recomputed and rewritten.
 
-Exit codes: 0 success, 2 budget exceeded, 3 parse/config error, 4 a
-paper-level invariant failed (the interesting one: a desk-scale
-counterexample to the theory would land here), 5 internal error (a
-self-check of the program failed; a bug, not a verdict on the theory).
+Exit codes: 0 success (also for --help), 2 budget exceeded, 3 usage,
+parse or configuration error, 4 a paper-level invariant failed (the
+interesting one: a desk-scale counterexample to the theory would land
+here), 5 internal error (a self-check of the program failed; a bug, not a
+verdict on the theory).
+
+Exit 4 covers these checks:
+  * `orbits --gl2` and `components`: the braid u-twists are defined and
+    u -> U(u) is a homomorphism;
+  * `components`: the curve invariants are consistent; for metabelian G
+    also the action factors through level exp(G), GL2-orbit sizes match
+    [GL2 : H], invariants agree across a GL2-orbit, Out(G) permutes the
+    GL2-orbits transitively, [R : I] = |G'| for the kernel ideal I of the
+    commutator, the inertia relation holds mod I, and every sampled
+    parameter pair descends to an endomorphism of G;
+  * `classify` with |W| within its verify budget: the determinant is a
+    unit exactly when gamma_r is bijective on W, and a monomial exactly
+    when a conjugator exists.
 """
 
 from __future__ import annotations
@@ -29,9 +43,9 @@ from . import __version__
 from .catalog import builtin_groups, builtin_names, get_group, group_entry, load_group_file
 from .congruence import certify
 from .errors import BudgetError, HypothesisError, InvariantViolation, ParseError
-from .fingrp import FinGroup, ModuleCtx, ia_descend
+from .fingrp import FinGroup, ModuleCtx, ia_descend, inertia_relation_check, kernel_ideal
 from .grpring import RingCtx, RingElem, augmentation, monomial_part, ring_make, try_invert
-from .iacalc import IAEndo, ia_classify, ia_det
+from .iacalc import IAEndo, ia_classify, ia_det, ia_matrix
 from .modcurve import component_report
 from .nielsen import ActionTable, orbits, stabilizer_mod
 
@@ -58,6 +72,9 @@ class RunConfig:
 # ---------------------------------------------------------------- expressions
 
 
+MAX_NESTING = 100  # parentheses and unary minus; keeps the recursion finite
+
+
 class _ExprParser:
     """Recursive descent for ring expressions over a1, a2, integers, + - * ^."""
 
@@ -65,6 +82,16 @@ class _ExprParser:
         self.text = text
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
+
+    def _nested(self, parse) -> RingElem:
+        """parse() one level deeper, just past an opening "(" or "-"."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", self.pos - 1)
+        value = parse()
+        self.depth -= 1
+        return value
 
     def _skip(self):
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -124,14 +151,14 @@ class _ExprParser:
         if ch == "(":
             open_pos = self.pos
             self.pos += 1
-            value = self._expr()
+            value = self._nested(self._expr)
             if self._peek() != ")":
                 raise ParseError("unbalanced parenthesis", open_pos)
             self.pos += 1
             return value
         if ch == "-":
             self.pos += 1
-            return -self._factor()
+            return -self._nested(self._factor)
         if self.text.startswith("a1", self.pos):
             self.pos += 2
             return self.ctx.monomial(1, 0)
@@ -215,8 +242,14 @@ def _load_table(config: RunConfig, G: FinGroup) -> ActionTable:
 
 
 def _descent_sweep(G: FinGroup, samples: int = 100) -> int:
-    """IA-descent smoke sweep; raises InvariantViolation on any failure."""
+    """The module checks and an IA-descent sweep; InvariantViolation on any failure.
+
+    `kernel_ideal` checks [R : I] = |G'|; then the inertia relation must
+    hold mod I and every sampled parameter pair must descend to G.
+    """
     mc = ModuleCtx(G)
+    if not inertia_relation_check(mc, kernel_ideal(mc)):
+        raise InvariantViolation(f"inertia relation fails on {G}")
     rng = random.Random(0)
     count = 0
     if mc.ring.size**2 <= samples:
@@ -275,8 +308,6 @@ def cmd_classify(config: RunConfig, n: int, m: int, r1: str, r2: str) -> dict:
         return doc
     endo = IAEndo(parse_ring_expr(r1, ctx), parse_ring_expr(r2, ctx))
     verdict = ia_classify(endo, verify_budget=2000)
-    from .iacalc import ia_matrix
-
     mat = ia_matrix(endo)
     doc = {
         "ring": {"n": n, "m": m},
@@ -356,8 +387,15 @@ def cmd_catalog(config: RunConfig) -> dict:
 # --------------------------------------------------------------------- main
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would exit 2, the budget code; a bad command line exits 3
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metab",
         description="Finite-level metabelian calculus: group-algebra arithmetic, "
         "IA-classification, SL2(Z)-orbits, congruence certificates, curve invariants.",
@@ -399,22 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        group=getattr(args, "group", None),
-        level=getattr(args, "level", None),
-        max_group=args.max_group,
-        max_ring=args.max_ring,
-        out=args.out,
-        csv_out=getattr(args, "csv_out", None),
-        cache_dir=args.cache_dir,
-        force=getattr(args, "force", False),
-        gl2=getattr(args, "gl2", False),
-        exhaustive=getattr(args, "exhaustive", False),
-    )
     try:
+        args = build_parser().parse_args(argv)
+        config = RunConfig(
+            command=args.command,
+            group=getattr(args, "group", None),
+            level=getattr(args, "level", None),
+            max_group=args.max_group,
+            max_ring=args.max_ring,
+            out=args.out,
+            csv_out=getattr(args, "csv_out", None),
+            cache_dir=args.cache_dir,
+            force=getattr(args, "force", False),
+            gl2=getattr(args, "gl2", False),
+            exhaustive=getattr(args, "exhaustive", False),
+        )
         if args.command == "ring":
             cmd_ring(config, args.n, args.m, args.expr)
         elif args.command == "classify":

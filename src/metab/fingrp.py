@@ -17,9 +17,11 @@ the IA-calculus descends to G:
   * `ia_descend` builds the endomorphism g_i -> c^(r_i) g_i, which theory
     says always exists (a failure raises InvariantViolation);
   * `inertia_relation_check` verifies 1 + a1 + ... + a1^(d-1) = s (1 - a2)
-    mod I where g1^d = c^s;
-  * `StabilityInstance` packages the two ideal-membership stability
-    conditions together with a brute-force oracle in the Magnus model.
+    mod I where g1^d = c^s.
+
+`metab components` runs `kernel_ideal` (whose [R : I] = |G'| check raises
+InvariantViolation), `inertia_relation_check` and an `ia_descend` sweep on
+every metabelian group it reports on.
 """
 
 from __future__ import annotations
@@ -27,15 +29,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 
 import numpy as np
 
-from . import linalg, magnus
+from . import linalg
 from .errors import BudgetError, HypothesisError, InvariantViolation
 from .grpring import RingCtx, RingElem, ring_make
 
 Perm = tuple[int, ...]
+
+TABLE_LIMIT = 2048  # largest |G| given a dense multiplication table
 
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
@@ -116,6 +120,10 @@ class FinGroup:
                     if q not in seen:
                         seen.add(q)
                         nxt.append(q)
+                        if len(seen) > TABLE_LIMIT:
+                            raise BudgetError(
+                                f"group of order above {TABLE_LIMIT} exceeds the table budget"
+                            )
             frontier = nxt
         self.elements: list[Perm] = sorted(seen)
         self.index = {p: i for i, p in enumerate(self.elements)}
@@ -125,14 +133,11 @@ class FinGroup:
         self.g2 = self.index[g2]
         self.pair = (self.g1, self.g2)
         # dense multiplication table; catalog groups are all tiny
-        if self.order <= 2048:
-            tbl = np.empty((self.order, self.order), dtype=np.int32)
-            for i, p in enumerate(self.elements):
-                for j, q in enumerate(self.elements):
-                    tbl[i, j] = self.index[perm_mul(p, q)]
-            self.table = tbl
-        else:
-            raise BudgetError(f"group of order {self.order} exceeds the table budget")
+        tbl = np.empty((self.order, self.order), dtype=np.int32)
+        for i, p in enumerate(self.elements):
+            for j, q in enumerate(self.elements):
+                tbl[i, j] = self.index[perm_mul(p, q)]
+        self.table = tbl
         self.inverse = np.empty(self.order, dtype=np.int32)
         for i, p in enumerate(self.elements):
             self.inverse[i] = self.index[perm_inv(p)]
@@ -264,9 +269,6 @@ class FinGroup:
             k += 1
         return k
 
-    def ab_exponent(self) -> int:
-        return lcm(self.ab_order(self.g1), self.ab_order(self.g2))
-
     def conjugacy_classes(self) -> list[list[int]]:
         if self._classes is None:
             least = self.conj_table.min(axis=0)
@@ -275,12 +277,6 @@ class FinGroup:
                 for a in np.flatnonzero(least == np.arange(self.order))
             ]
         return self._classes
-
-    def class_size(self, i: int) -> int:
-        for cls in self.conjugacy_classes():
-            if i in cls:
-                return len(cls)
-        raise KeyError(i)
 
 
 def group_make(degree: int, g1, g2) -> FinGroup:
@@ -310,9 +306,6 @@ class Endo:
     @property
     def is_bijective(self) -> bool:
         return len(set(self.mapping)) == self.group.order
-
-    def image_pair(self) -> tuple[int, int]:
-        return self.mapping[self.group.g1], self.mapping[self.group.g2]
 
 
 def hom_extends(G: FinGroup, pair, images) -> Endo | None:
@@ -496,20 +489,11 @@ class IdealBasis:
             return r.is_zero()
         return linalg.in_span(self.rows, r.vec(), self.ring.n)
 
-    def reduce(self, r: RingElem) -> RingElem:
-        if self.rows.shape[0] == 0:
-            return r
-        residue, _ = linalg.reduce_vector(self.rows, r.vec(), self.ring.n)
-        return self.ring.elem(residue.reshape(self.ring.m, self.ring.m))
-
     def size(self) -> int:
         return linalg.span_size(self.rows, self.ring.n)
 
     def additive_index(self) -> int:
         return self.ring.size // self.size()
-
-    def generators(self) -> list[RingElem]:
-        return [self.ring.elem(row.reshape(self.ring.m, self.ring.m)) for row in self.rows]
 
 
 def _derived_structure(mc: ModuleCtx) -> AbelianStructure:
@@ -585,11 +569,12 @@ def ia_descend(mc: ModuleCtx, r: tuple[RingElem, RingElem]) -> Endo:
     return endo
 
 
-def inertia_relation_check(mc: ModuleCtx) -> bool:
+def inertia_relation_check(mc: ModuleCtx, ideal: IdealBasis) -> bool:
     """1 + a1 + ... + a1^(d-1) = s (1 - a2) mod I, where g1^d = c^s in G'.
 
-    d is the order of g1 in the abelianization; the congruence is the
-    finite-level inertia relation and is expected to hold always.
+    `ideal` is `kernel_ideal(mc)`.  d is the order of g1 in the
+    abelianization; the congruence is the finite-level inertia relation and
+    is expected to hold always.
     """
     G = mc.group
     g1 = mc.pair[0]
@@ -598,176 +583,6 @@ def inertia_relation_check(mc: ModuleCtx) -> bool:
     s = solve_commutator_power(mc, target)
     if s is None:
         raise InvariantViolation("g1^d is not a module power of the commutator")
-    ideal = kernel_ideal(mc)
     lhs = mc.ring.geom1(d)
     rhs = s * (mc.ring.one() - mc.ring.monomial(0, 1))
     return ideal.contains(lhs - rhs)
-
-
-class StabilityInstance:
-    """Data (I, s1, s2, d1, d2) defining K = <I kappa, c^-s1 x1^d1, c^-s2 x2^d2> <= W.
-
-    `stability_check(r)` evaluates the two ideal conditions
-        r2 s1 (a1 - 1) in I   and   r1 s2 (a2 - 1) in I;
-    `brute_stability(r)` instead applies gamma_r to the generators of K
-    inside the Magnus model and tests containment directly.
-
-    The two agree under the hypotheses checked by `hypothesis_check`:
-    the derived-line part of K is exactly I kappa, the inertia congruences
-    hold for (s_i, d_i), and Ann(kappa) is contained in I.  (The profinite
-    hypothesis "K/I injects into the abelianization" is unattainable
-    verbatim at finite level: x_i^(d_i o_i) wraps onto norm vectors outside
-    the kappa line.  The conditions above are what the equivalence proof
-    actually consumes.)
-    """
-
-    def __init__(
-        self,
-        ring: RingCtx,
-        ideal: IdealBasis,
-        s1: RingElem,
-        s2: RingElem,
-        d1: int,
-        d2: int,
-    ):
-        if ideal.ring != ring:
-            raise ValueError("ideal ring mismatch")
-        if d1 < 1 or d2 < 1:
-            raise ValueError("exponents must be positive")
-        self.ring = ring
-        self.ideal = ideal
-        self.s1, self.s2 = s1, s2
-        self.d1, self.d2 = d1, d2
-        x1, x2 = magnus.gens(ring)
-        self.k1 = magnus.derived_elem(ring, -s1) * (x1**d1)
-        self.k2 = magnus.derived_elem(ring, -s2) * (x2**d2)
-        self._lattice = None
-
-    def _kappa_rows(self, alphas) -> list[np.ndarray]:
-        rows = []
-        for a in alphas:
-            rows.append(magnus.derived_elem(self.ring, a).bvec())
-        return rows
-
-    def ideal_kappa_rows(self) -> np.ndarray:
-        rows = self._kappa_rows(self.ideal.generators())
-        if not rows:
-            return np.zeros((0, 2 * self.ring.m**2), dtype=np.int64)
-        return np.array(rows, dtype=np.int64)
-
-    def k_lattice(self):
-        """(T-part span of K, A-image data) via Schreier generators of ker(K -> A)."""
-        if self._lattice is not None:
-            return self._lattice
-        ring = self.ring
-        m = ring.m
-        # coset BFS of <k1, k2> acting on its A-image
-        start = (0, 0)
-        transversal: dict[tuple[int, int], magnus.MagnusElem] = {
-            start: magnus.identity(ring)
-        }
-        order = [start]
-        frontier = [start]
-        gens_w = [self.k1, self.k2]
-        schreier: list[magnus.MagnusElem] = []
-        while frontier:
-            nxt = []
-            for v in frontier:
-                rep = transversal[v]
-                for g in gens_w:
-                    w = rep * g
-                    if w.v not in transversal:
-                        transversal[w.v] = w
-                        order.append(w.v)
-                        nxt.append(w.v)
-                    else:
-                        sg = w * transversal[w.v].inv()
-                        if sg.v != (0, 0):
-                            raise InvariantViolation("Schreier generator has A-part")
-                        schreier.append(sg)
-            frontier = nxt
-        # Schreier's lemma: the collected generators span ker(K -> A) outright,
-        # and K & T = I kappa + that span inside the abelian T-part.
-        rows = [row for row in self.ideal_kappa_rows()]
-        for sg in schreier:
-            rows.append(sg.bvec())
-        span = linalg.howell(np.array(rows, dtype=np.int64), ring.n) if rows else np.zeros(
-            (0, 2 * m * m), dtype=np.int64
-        )
-        self._lattice = (span, transversal)
-        return self._lattice
-
-    def contains(self, z: magnus.MagnusElem) -> bool:
-        """Membership in K = <I kappa, k1, k2>."""
-        span, transversal = self.k_lattice()
-        if z.v not in transversal:
-            return False
-        t_part = z * transversal[z.v].inv()
-        if t_part.v != (0, 0):
-            return False
-        if span.shape[0] == 0:
-            return t_part.b1.is_zero() and t_part.b2.is_zero()
-        return linalg.in_span(span, t_part.bvec(), self.ring.n)
-
-    def hypothesis_check(self) -> tuple[bool, list[str]]:
-        """The exact finite-level hypotheses under which the criterion is two-sided."""
-        ring = self.ring
-        problems = []
-        # (a) K's derived-line part is exactly I kappa
-        span, _ = self.k_lattice()
-        kappa_span = magnus.kappa_line_basis(ring)
-        inter = linalg.intersect_spans(span, kappa_span, ring.n)
-        ik = self.ideal_kappa_rows()
-        ik_h = linalg.howell(ik, ring.n) if ik.shape[0] else np.zeros((0, inter.shape[1] if inter.size else 2 * ring.m**2), dtype=np.int64)
-        for row in inter:
-            ok = ik_h.shape[0] > 0 and linalg.in_span(ik_h, row, ring.n)
-            if not ok and row.any():
-                problems.append("derived part of K exceeds I kappa")
-                break
-        # (b) inertia congruences for (s_i, d_i)
-        one = ring.one()
-        if not self.ideal.contains(ring.geom1(self.d1) - self.s1 * (one - ring.monomial(0, 1))):
-            problems.append("inertia congruence fails for (s1, d1)")
-        if not self.ideal.contains(ring.geom2(self.d2) - self.s2 * (ring.monomial(1, 0) - one)):
-            problems.append("inertia congruence fails for (s2, d2)")
-        # (c) Ann(kappa) inside I, so exponents of c are read off exactly mod I
-        for a in magnus.ann_kappa(ring):
-            if not self.ideal.contains(a):
-                problems.append("Ann(kappa) not contained in the ideal")
-                break
-        return (not problems, problems)
-
-    def stability_check(self, r: tuple[RingElem, RingElem]) -> bool:
-        """The two ideal-membership conditions of the stability criterion."""
-        ring = self.ring
-        one = ring.one()
-        a1, a2 = ring.monomial(1, 0), ring.monomial(0, 1)
-        return self.ideal.contains(r[1] * self.s1 * (a1 - one)) and self.ideal.contains(
-            r[0] * self.s2 * (a2 - one)
-        )
-
-    def brute_stability(self, r: tuple[RingElem, RingElem]) -> bool:
-        """gamma_r(K) <= K by direct application to the generators of K."""
-        from .iacalc import IAEndo, ia_apply, ia_det
-
-        e = IAEndo(r[0], r[1])
-        # ideal part: gamma_r scales I kappa by det, staying inside since I is an ideal
-        det = ia_det(e)
-        for iota in self.ideal.generators():
-            if not self.ideal.contains(det * iota):
-                return False
-        return self.contains(ia_apply(e, self.k1)) and self.contains(
-            ia_apply(e, self.k2)
-        )
-
-
-def stability_instance_from_group(mc: ModuleCtx) -> StabilityInstance:
-    """The kernel data of (G, pair): I = kernel ideal, d_i = ab-orders, c^(s_i) = g_i^(d_i)."""
-    G = mc.group
-    g1, g2 = mc.pair
-    d1, d2 = G.ab_order(g1), G.ab_order(g2)
-    s1 = solve_commutator_power(mc, G.power(g1, d1))
-    s2 = solve_commutator_power(mc, G.power(g2, d2))
-    if s1 is None or s2 is None:
-        raise InvariantViolation("generator powers are not module powers of c")
-    return StabilityInstance(mc.ring, kernel_ideal(mc), s1, s2, d1, d2)

@@ -7,20 +7,16 @@ convolution of the exponents.
 
 Beyond the ring operations this module provides the structural maps the
 IA-calculus rests on: the augmentation, unit inversion (CRT over the prime
-powers of n plus Hensel lifting), monomial recognition, the scalar/special
-split of elements with invertible augmentation, and the local decomposition
-of R(p^k, m) into factor rings via the idempotents of x^m - 1.
+powers of n plus Hensel lifting) and monomial recognition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
-from . import cyclofactor, linalg
+from . import linalg
 from .errors import BudgetError
 
 
@@ -225,12 +221,6 @@ class RingElem:
         }
 
 
-def elem_from_json(data: dict) -> RingElem:
-    ctx = ring_make(int(data["n"]), int(data["m"]))
-    arr = np.array(data["coeffs"], dtype=np.int64).reshape(ctx.m, ctx.m)
-    return ctx.elem(arr)
-
-
 @lru_cache(maxsize=None)
 def ring_make(n: int, m: int) -> RingCtx:
     """Context for R(n, m); cached so equal parameters share solver caches."""
@@ -336,78 +326,3 @@ def monomial_part(x: RingElem) -> tuple[int, int] | None:
     if int(x.coeffs[i, j]) != 1:
         return None
     return i, j
-
-
-@dataclass(frozen=True)
-class SpecialSplit:
-    """x = scalar * special with augmentation(special) = 1."""
-
-    scalar: int
-    special: RingElem
-
-
-def special_split(x: RingElem) -> SpecialSplit | None:
-    """Split off the scalar part u = augmentation(x) when u is a unit mod n.
-
-    At finite level the split only exists when the augmentation is invertible;
-    a zero-divisor augmentation returns None rather than guessing.
-    """
-    u = augmentation(x)
-    if gcd(u, x.ctx.n) != 1:
-        return None
-    u_inv = linalg.inv_mod(u, x.ctx.n)
-    return SpecialSplit(scalar=u, special=u_inv * x)
-
-
-@dataclass(frozen=True)
-class LocalFactor:
-    """One coordinate of the decomposition of R(p^k, m), gcd(m, p) = 1."""
-
-    idempotent: RingElem
-    f1: tuple[int, ...]  # factor of x^m - 1 carried by a1
-    f2: tuple[int, ...]  # factor carried by a2
-    distinguished: bool
-
-
-def local_decompose(ctx: RingCtx) -> list[LocalFactor]:
-    """Orthogonal idempotents of R(p^k, m) from the factors of x^m - 1.
-
-    Requires n = p^k and gcd(m, p) = 1 (the etale case; otherwise no such
-    splitting exists at finite level and a ValueError is raised).  One factor
-    per pair (f1, f2) of irreducible factors; the pair (x-1, x-1) is the
-    distinguished coordinate, where both a1 - 1 and a2 - 1 stay non-units.
-    """
-    if len(ctx.prime_powers) != 1:
-        raise ValueError("local decomposition needs a prime-power modulus")
-    p, k = ctx.prime_powers[0]
-    if gcd(ctx.m, p) != 1:
-        raise ValueError(f"no etale splitting: gcd(m={ctx.m}, p={p}) != 1")
-    pairs = cyclofactor.cyclic_idempotents(ctx.m, p, k)
-    x_minus_1 = cyclofactor.trim([-1 % ctx.n, 1])
-    out = []
-    for f1, e1 in pairs:
-        for f2, e2 in pairs:
-            arr = np.zeros((ctx.m, ctx.m), dtype=np.int64)
-            for i, c1 in enumerate(e1):
-                for j, c2 in enumerate(e2):
-                    arr[i, j] = (c1 * c2) % ctx.n
-            out.append(
-                LocalFactor(
-                    idempotent=ctx.elem(arr),
-                    f1=f1,
-                    f2=f2,
-                    distinguished=(f1 == x_minus_1 and f2 == x_minus_1),
-                )
-            )
-    return out
-
-
-def unit_in_factor(x: RingElem, factor: LocalFactor) -> bool:
-    """Is the image of x a unit of the factor ring e*R?
-
-    e*R has identity e; x*e is invertible there iff x*e + (1 - e) is a unit
-    of R, which the CRT inverter decides.
-    """
-    e = factor.idempotent
-    probe = x * e + e.ctx.one() - e
-    return try_invert(probe) is not None

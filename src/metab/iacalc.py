@@ -12,15 +12,10 @@ gamma_r acts on the derived line R*kappa.  Classification:
   * det a unit       <->  gamma_r is an automorphism of W;
   * det a monomial   <->  gamma_r is inner (conjugation by a W-element).
 
-Both criteria are backed here by brute-force oracles on W itself:
-`is_bijective_on_w` and `find_conjugator` enumerate W when it is small and
-otherwise reduce to exact linear algebra on the T-part lattice (the
-conjugation equations are linear in the conjugator's T-part).
-
-For arbitrary endomorphisms given by generator images, `gen_det` recovers
-the generalized determinant from the commutator of the images, and
-`endo_apply` pushes any W-element through the endomorphism via its normal
-form x1^e1 x2^e2 [x1,x2]^alpha.
+`ia_classify` reads the verdict off the determinant.  With a verify budget
+that covers |W| it cross-checks both criteria: `is_bijective_on_w` tests
+bijectivity on W outright, and `find_conjugator` solves the conjugation
+equations, which are linear in the conjugator's T-part, exactly over Z/n.
 """
 
 from __future__ import annotations
@@ -31,21 +26,17 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantViolation
-from .grpring import RingCtx, RingElem, monomial_part, ring_make, try_invert
+from .grpring import RingCtx, RingElem, monomial_part, try_invert
 from .magnus import (
     MagnusElem,
-    commutator,
     conj,
     derived_elem,
     enumerate_w,
     gens,
-    kappa_vec,
     lambda_basis,
     membership,
     section,
     w_order,
-    witness_equal,
-    word_decomposition,
 )
 
 
@@ -70,10 +61,6 @@ class IAEndo:
         return derived_elem(self.ctx, self.r1) * x1, derived_elem(self.ctx, self.r2) * x2
 
 
-def ia_identity(ctx: RingCtx) -> IAEndo:
-    return IAEndo(ctx.zero(), ctx.zero())
-
-
 Matrix2 = tuple[tuple[RingElem, RingElem], tuple[RingElem, RingElem]]
 
 
@@ -93,14 +80,6 @@ def ia_det(e: IAEndo) -> RingElem:
     ctx = e.ctx
     one = ctx.one()
     return one + e.r1 * (one - ctx.monomial(0, 1)) + e.r2 * (ctx.monomial(1, 0) - one)
-
-
-def ia_compose(e: IAEndo, f: IAEndo) -> IAEndo:
-    """Parameter of "apply f first, then e": r o r' = r + det(gamma_r) r'."""
-    if e.ctx != f.ctx:
-        raise ValueError("ring context mismatch")
-    d = ia_det(e)
-    return IAEndo(e.r1 + d * f.r1, e.r2 + d * f.r2)
 
 
 def ia_apply(e: IAEndo, z: MagnusElem) -> MagnusElem:
@@ -129,9 +108,10 @@ class Classification:
 def ia_classify(e: IAEndo, verify_budget: int | None = None) -> Classification:
     """Inner / automorphism-only / not-automorphism from the determinant.
 
-    With `verify_budget`, the automorphism verdict is cross-checked against
-    literal bijectivity on W when |W| fits the budget; a mismatch raises
-    InvariantViolation (it would falsify the determinant criterion).
+    With `verify_budget`, when |W| fits the budget, the automorphism verdict
+    is cross-checked against literal bijectivity on W and the inner verdict
+    against `find_conjugator`; a mismatch raises InvariantViolation (it would
+    falsify the determinant criterion).
     """
     d = ia_det(e)
     mono = monomial_part(d)
@@ -146,6 +126,10 @@ def ia_classify(e: IAEndo, verify_budget: int | None = None) -> Classification:
         if bij != (verdict.kind != "not_automorphism"):
             raise InvariantViolation(
                 f"determinant criterion contradicts bijectivity for r = ({e.r1}, {e.r2})"
+            )
+        if (find_conjugator(e) is not None) != (verdict.kind == "inner"):
+            raise InvariantViolation(
+                f"monomial criterion contradicts the conjugator search for r = ({e.r1}, {e.r2})"
             )
     return verdict
 
@@ -176,22 +160,17 @@ def is_bijective_on_w(e: IAEndo, budget: int | None = None) -> bool:
     return linalg.span_size(image_span, ctx.n) == linalg.span_size(basis, ctx.n)
 
 
-def find_conjugator(e: IAEndo, budget: int | None = None) -> MagnusElem | None:
+def find_conjugator(e: IAEndo) -> MagnusElem | None:
     """A w in W with gamma_r = conjugation by w, or None.
 
     Two homomorphisms agree on W iff they agree on x1, x2, so the search
-    compares images of the generators only.  Small W is enumerated outright;
-    otherwise, for each candidate A-part of w the conjugation equations are
-    linear in the T-part, solved exactly over Z/n.
+    compares images of the generators only.  For each candidate A-part of w
+    the conjugation equations are linear in the T-part, solved exactly over
+    Z/n.
     """
     ctx = e.ctx
     x1, x2 = gens(ctx)
     y1, y2 = e.images()
-    if budget is not None and w_order(ctx) <= budget:
-        for w in enumerate_w(ctx, budget):
-            if conj(x1, w) == y1 and conj(x2, w) == y2:
-                return w
-        return None
     m2 = ctx.m * ctx.m
     basis = lambda_basis(ctx)
     one = ctx.one()
@@ -232,81 +211,3 @@ def find_conjugator(e: IAEndo, budget: int | None = None) -> MagnusElem | None:
                 raise RuntimeError("find_conjugator: solved w does not conjugate onto the images")
             return w
     return None
-
-
-def gen_det(images: tuple[MagnusElem, MagnusElem]) -> RingElem:
-    """Generalized determinant relative to c = [x1, x2].
-
-    The witness alpha with [image1, image2] = c^alpha; unique modulo
-    Ann(kappa).  Commutators of W-elements always lie on the kappa line, so
-    a failed solve means the images were not both in W.
-    """
-    w1, w2 = images
-    if membership(w1) is None or membership(w2) is None:
-        raise ValueError("images must lie in W(n, m)")
-    witness = membership(commutator(w1, w2))
-    if witness is None or (witness.q1, witness.q2) != (0, 0):
-        raise InvariantViolation("commutator of W-elements escaped the kappa line")
-    return witness.alpha
-
-
-def ab_matrix(images: tuple[MagnusElem, MagnusElem]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Abelianized matrix mod m, column i = exponent vector of image i."""
-    w1, w2 = images
-    return ((w1.v[0], w2.v[0]), (w1.v[1], w2.v[1]))
-
-
-def ab_ring_map(ctx: RingCtx, mat) -> "RingMap":
-    return RingMap(ctx, mat)
-
-
-class RingMap:
-    """Ring endomorphism of R(n, m) induced by a monomial substitution mod m."""
-
-    def __init__(self, ctx: RingCtx, mat):
-        self.ctx = ctx
-        self.mat = ((mat[0][0] % ctx.m, mat[0][1] % ctx.m), (mat[1][0] % ctx.m, mat[1][1] % ctx.m))
-
-    def __call__(self, x: RingElem) -> RingElem:
-        ctx = self.ctx
-        arr = np.zeros((ctx.m, ctx.m), dtype=np.int64)
-        (p, q), (r, s) = self.mat
-        for i, j in zip(*np.nonzero(x.coeffs)):
-            arr[(p * i + q * j) % ctx.m, (r * i + s * j) % ctx.m] += int(x.coeffs[i, j])
-        return ctx.elem(arr)
-
-
-def endo_apply(images: tuple[MagnusElem, MagnusElem], z: MagnusElem) -> MagnusElem:
-    """Apply the endomorphism x_i -> images[i] to z in W via its normal form.
-
-    Well-defined whenever the images actually define an endomorphism of W
-    (always the case for the generator moves exercised here).
-    """
-    decomp = word_decomposition(z)
-    if decomp is None:
-        raise ValueError("element is not in W(n, m)")
-    e1, e2, alpha = decomp
-    det_c = gen_det(images)
-    phi_ab = ab_ring_map(z.ctx, ab_matrix(images))
-    return (images[0] ** e1) * (images[1] ** e2) * derived_elem(z.ctx, det_c * phi_ab(alpha))
-
-
-def endo_compose(
-    outer: tuple[MagnusElem, MagnusElem], inner: tuple[MagnusElem, MagnusElem]
-) -> tuple[MagnusElem, MagnusElem]:
-    """Images of the composite "apply inner first, then outer"."""
-    return endo_apply(outer, inner[0]), endo_apply(outer, inner[1])
-
-
-def sl2_move_images(ctx: RingCtx, move: str, u: int | None = None) -> tuple[MagnusElem, MagnusElem]:
-    """Generator images of the basic moves: S: (x2, x1^-1), T: (x2 x1, x2), U(u): (x1, x2^u)."""
-    x1, x2 = gens(ctx)
-    if move == "S":
-        return (x2, x1.inv())
-    if move == "T":
-        return (x2 * x1, x2)
-    if move == "U":
-        if u is None:
-            raise ValueError("U move needs a unit exponent")
-        return (x1, x2**u)
-    raise ValueError(f"unknown move {move!r}")

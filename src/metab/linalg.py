@@ -196,20 +196,6 @@ def kernel(A, N: int) -> np.ndarray:
     return howell(np.array(rows, dtype=np.int64), N)
 
 
-def intersect_spans(B1, B2, N: int) -> np.ndarray:
-    """Howell basis of rowspan(B1) & rowspan(B2) over Z/N."""
-    B1 = np.atleast_2d(np.asarray(B1, dtype=np.int64)) % N
-    B2 = np.atleast_2d(np.asarray(B2, dtype=np.int64)) % N
-    if B1.shape[0] == 0 or B2.shape[0] == 0:
-        return np.zeros((0, B1.shape[1]), dtype=np.int64)
-    stacked = np.vstack([B1, B2])
-    K = kernel(stacked.T, N)  # rows c with c @ stacked = 0
-    if K.shape[0] == 0:
-        return np.zeros((0, B1.shape[1]), dtype=np.int64)
-    vecs = (K[:, : B1.shape[0]] @ B1) % N
-    return howell(vecs, N)
-
-
 class SpanSolver:
     """Membership-with-certificate in a fixed row span, amortized.
 
@@ -245,9 +231,6 @@ class SpanSolver:
         if residue.any():
             return None
         return coeffs
-
-    def contains(self, v) -> bool:
-        return self.solve(v) is not None
 
     def basis(self) -> np.ndarray:
         rows = [r[: self.dim] for r in self._main]

@@ -14,10 +14,7 @@ against the lattice
 
     Lambda_0 = R*kappa + (Z/n) N1 t1 + (Z/n) N2 t2,
 
-preferring a pure kappa witness when one exists.  The quotient
-|Lambda_0| / |R*kappa| ("norm defect") measures how far the finite level
-strays from the profinite derived-line picture; `norm_defect_index` and
-`d_locus_excess` report these per context instead of assuming them away.
+preferring a pure kappa witness when one exists.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import linalg
-from .grpring import BudgetError, RingCtx, RingElem, elem_from_json, ring_make
+from .grpring import BudgetError, RingCtx, RingElem, ring_make
 
 
 class MagnusElem:
@@ -96,15 +93,6 @@ class MagnusElem:
             k >>= 1
         return result
 
-    def to_json(self) -> dict:
-        return {"b1": self.b1.to_json(), "b2": self.b2.to_json(), "v": list(self.v)}
-
-
-def elem_from_json_magnus(data: dict) -> MagnusElem:
-    b1 = elem_from_json(data["b1"])
-    b2 = elem_from_json(data["b2"])
-    return MagnusElem(b1.ctx, b1, b2, tuple(data["v"]))
-
 
 def identity(ctx: RingCtx) -> MagnusElem:
     return MagnusElem(ctx, ctx.zero(), ctx.zero(), (0, 0))
@@ -123,19 +111,9 @@ def conj(x: MagnusElem, y: MagnusElem) -> MagnusElem:
     return y * x * y.inv()
 
 
-def commutator(x: MagnusElem, y: MagnusElem) -> MagnusElem:
-    return x * y * x.inv() * y.inv()
-
-
 def kappa_vec(ctx: RingCtx) -> tuple[RingElem, RingElem]:
     """The commutator vector kappa = (1 - a2, a1 - 1) in T."""
     return (ctx.one() - ctx.monomial(0, 1), ctx.monomial(1, 0) - ctx.one())
-
-
-def kappa_elem(ctx: RingCtx) -> MagnusElem:
-    """mu([x1, x2]) = (kappa, 1)."""
-    k1, k2 = kappa_vec(ctx)
-    return MagnusElem(ctx, k1, k2, (0, 0))
 
 
 def derived_elem(ctx: RingCtx, alpha: RingElem) -> MagnusElem:
@@ -159,7 +137,7 @@ def d_value(z: MagnusElem) -> RingElem:
     """The crossed homomorphism D(t, a) = a - 1 - (b1 (a1-1) + b2 (a2-1)).
 
     D vanishes on all of W, so D != 0 is a fast membership rejection; the
-    converse can fail at finite level (see d_locus_excess).
+    converse can fail at finite level.
     """
     ctx = z.ctx
     a1, a2 = ctx.monomial(1, 0), ctx.monomial(0, 1)
@@ -198,35 +176,11 @@ class _CtxCache:
         self.lambda_solver = linalg.SpanSolver(
             np.vstack([self.kappa_rows, self.norm_rows]), n
         )
-        # Ann(kappa) = kernel of alpha |-> (alpha(1-a2), alpha(a1-1))
-        self.ann_basis = linalg.kernel(self.kappa_rows.T, n)
 
 
 @lru_cache(maxsize=None)
 def _cache(n: int, m: int) -> _CtxCache:
     return _CtxCache(ring_make(n, m))
-
-
-def ann_kappa(ctx: RingCtx) -> list[RingElem]:
-    """Generators of the annihilator ideal of kappa (as ring elements)."""
-    cache = _cache(ctx.n, ctx.m)
-    return [ctx.elem(row.reshape(ctx.m, ctx.m)) for row in cache.ann_basis]
-
-
-def witness_equal(a: RingElem, b: RingElem) -> bool:
-    """Equality of kappa witnesses, i.e. modulo Ann(kappa)."""
-    k1, k2 = kappa_vec(a.ctx)
-    d = a - b
-    return (d * k1).is_zero() and (d * k2).is_zero()
-
-
-def reduce_mod_ann(alpha: RingElem) -> RingElem:
-    """Canonical representative of alpha modulo Ann(kappa)."""
-    cache = _cache(alpha.ctx.n, alpha.ctx.m)
-    if cache.ann_basis.shape[0] == 0:
-        return alpha
-    residue, _ = linalg.reduce_vector(cache.ann_basis, alpha.vec(), alpha.ctx.n)
-    return alpha.ctx.elem(residue.reshape(alpha.ctx.m, alpha.ctx.m))
 
 
 def membership(z: MagnusElem) -> Witness | None:
@@ -248,69 +202,15 @@ def membership(z: MagnusElem) -> Witness | None:
     return Witness(alpha=alpha, q1=int(coeffs[m2]), q2=int(coeffs[m2 + 1]))
 
 
-def word_decomposition(z: MagnusElem) -> tuple[int, int, RingElem] | None:
-    """Write z = x1^e1 * x2^e2 * [x1,x2]^alpha with e_i in [0, n*m).
-
-    Inverts the normal form underlying `membership`; None when z is not in W.
-    """
-    w = membership(z)
-    if w is None:
-        return None
-    ctx = z.ctx
-    e1 = z.v[0] + ctx.m * w.q1
-    e2 = z.v[1] + ctx.m * w.q2
-    correction = ctx.geom1(z.v[0]) * ctx.norm2() * w.q2
-    alpha = ctx.monomial(-z.v[0], -z.v[1]) * (w.alpha - correction)
-    return e1, e2, alpha
-
-
 def lambda_basis(ctx: RingCtx) -> np.ndarray:
     """Howell basis of the T-part lattice Lambda_0 of W."""
     return _cache(ctx.n, ctx.m).lambda_solver.basis()
-
-
-def kappa_line_basis(ctx: RingCtx) -> np.ndarray:
-    """Howell basis of R*kappa as vectors in T."""
-    return _cache(ctx.n, ctx.m).rk_solver.basis()
 
 
 def w_order(ctx: RingCtx) -> int:
     """|W(n, m)| = m^2 * |Lambda_0|."""
     n = ctx.n
     return ctx.m**2 * linalg.span_size(lambda_basis(ctx), n)
-
-
-def norm_defect_index(ctx: RingCtx) -> int:
-    """|Lambda_0| / |R*kappa|: 1 recovers the profinite picture exactly."""
-    n = ctx.n
-    return linalg.span_size(lambda_basis(ctx), n) // linalg.span_size(
-        kappa_line_basis(ctx), n
-    )
-
-
-def d_locus_excess(ctx: RingCtx) -> int:
-    """|{z : D(z) = 0}| - |W|, the failure of the image characterization.
-
-    Zero means D = 0 exactly cuts out W at this level; positive values
-    quantify the finite-level gap (the profinite proof uses coprimality of
-    a_i - 1, which truncation destroys).
-    """
-    n, m = ctx.n, ctx.m
-    a1m1 = ctx.monomial(1, 0) - ctx.one()
-    a2m1 = ctx.monomial(0, 1) - ctx.one()
-    rows = [(mono * a1m1).vec() for mono in ctx.monomials()]
-    rows += [(mono * a2m1).vec() for mono in ctx.monomials()]
-    rows = np.array(rows, dtype=np.int64)
-    phi = rows.T % n  # maps vec(b1, b2) to vec(b1(a1-1) + b2(a2-1))
-    ker_size = linalg.span_size(linalg.kernel(phi, n), n)
-    img = linalg.SpanSolver(rows, n)
-    count = 0
-    for v1 in range(m):
-        for v2 in range(m):
-            target = (ctx.monomial(v1, v2) - ctx.one()).vec()
-            if img.contains(target):
-                count += ker_size
-    return count - w_order(ctx)
 
 
 def enumerate_w(ctx: RingCtx, budget: int = 10**6) -> list[MagnusElem]:
@@ -341,13 +241,3 @@ def enumerate_w(ctx: RingCtx, budget: int = 10**6) -> list[MagnusElem]:
                     )
                 )
     return out
-
-
-def random_word_element(ctx: RingCtx, rng, length: int = 12) -> MagnusElem:
-    """Random product of generator letters; always a member of W."""
-    x1, x2 = gens(ctx)
-    letters = [x1, x2, x1.inv(), x2.inv()]
-    z = identity(ctx)
-    for _ in range(length):
-        z = z * rng.choice(letters)
-    return z

@@ -11,6 +11,10 @@ instead, is tested against these.
 from metab.fingrp import Endo, FinGroup, hom_extends
 
 
+def class_size(G: FinGroup, i: int) -> int:
+    return next(len(cls) for cls in G.conjugacy_classes() if i in cls)
+
+
 def inner_automorphism(G: FinGroup, by: int) -> Endo:
     return Endo(G, tuple(G.conj(i, by) for i in range(G.order)))
 
@@ -29,9 +33,9 @@ def automorphism_group(G: FinGroup) -> list[Endo]:
     """
     orders = G.element_orders()
     o1, o2 = orders[G.g1], orders[G.g2]
-    c1, c2 = G.class_size(G.g1), G.class_size(G.g2)
-    cands1 = [i for i in range(G.order) if orders[i] == o1 and G.class_size(i) == c1]
-    cands2 = [i for i in range(G.order) if orders[i] == o2 and G.class_size(i) == c2]
+    c1, c2 = class_size(G, G.g1), class_size(G, G.g2)
+    cands1 = [i for i in range(G.order) if orders[i] == o1 and class_size(G, i) == c1]
+    cands2 = [i for i in range(G.order) if orders[i] == o2 and class_size(G, i) == c2]
     out = []
     for h1 in cands1:
         for h2 in cands2:

@@ -5,8 +5,10 @@ import re
 
 import pytest
 
-from metab.cli import RunConfig, parse_ring_expr, run
+from metab.cli import MAX_NESTING, RunConfig, parse_ring_expr, run
+from metab import fingrp
 from metab.errors import ParseError
+from metab.fingrp import IdealBasis
 from metab.grpring import ring_make
 
 
@@ -38,6 +40,46 @@ def test_parse_errors_carry_offsets():
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig(command="ring", max_group=0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--max-group", "0", "catalog"],
+        ["--max-ring", "-1", "catalog"],
+        ["ring", "3", "2"],
+        ["orbits", "S3", "--level", "two"],
+        ["no-such-command"],
+    ],
+    ids=["max-group-zero", "max-ring-negative", "missing-argument", "level-not-an-integer",
+         "unknown-command"],
+)
+def test_configuration_errors_exit_3(capsys, argv):
+    # at the parent the first two raised ValueError out of run (a traceback,
+    # exit 1) and the rest exited 2, the budget code
+    assert run(argv) == 3
+    assert "error: " in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("opener", ["(", "-"])
+def test_deep_nesting_is_a_parse_error(capsys, opener):
+    # 1000 levels overflowed the recursion at the parent: exit 5
+    expr = opener * 1000 + "1" + (")" * 1000 if opener == "(" else "")
+    ctx = ring_make(2, 2)
+    with pytest.raises(ParseError) as err:
+        parse_ring_expr(expr, ctx)
+    assert err.value.offset == MAX_NESTING
+    assert run(["ring", "2", "2", "--", expr]) == 3
+    assert "nesting deeper than" in capsys.readouterr().err
+    shallow = opener * MAX_NESTING + "1" + (")" * MAX_NESTING if opener == "(" else "")
+    assert parse_ring_expr(shallow, ctx) == ctx.one()
 
 
 def run_json(capsys, argv):
@@ -140,6 +182,25 @@ def test_cmd_catalog(capsys):
 
 def test_budget_exit_code(capsys):
     assert run(["--max-group", "3", "orbits", "S3"]) == 2
+
+
+def test_oversized_group_file_stops_at_the_table_limit(capsys, tmp_path, monkeypatch):
+    # S9 has 362,880 elements; the parent closed all of them (725,760
+    # perm_mul calls, 2.5 s) before refusing the group
+    calls = 0
+    perm_mul = fingrp.perm_mul
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return perm_mul(p, q)
+
+    monkeypatch.setattr(fingrp, "perm_mul", counted)
+    path = tmp_path / "s9.json"
+    path.write_text(json.dumps({"name": "S9", "degree": 9, "gen1": [list(range(9))], "gen2": [[0, 1]]}))
+    assert run(["orbits", str(path)]) == 2
+    assert "table budget" in capsys.readouterr().err
+    assert calls <= 2 * (fingrp.TABLE_LIMIT + 1)
 
 
 def test_group_file_loading(capsys, tmp_path):
@@ -256,6 +317,29 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     monkeypatch.setattr("metab.cli.component_report", broken)
     assert run(["components", "S3"]) == 5
     assert "internal error: self-check failed" in capsys.readouterr().err
+
+
+def test_components_checks_the_kernel_ideal_index(capsys, monkeypatch):
+    # exit 0 at the parent, which never ran kernel_ideal from the CLI
+    index = IdealBasis.additive_index
+    monkeypatch.setattr(IdealBasis, "additive_index", lambda self: index(self) + 1)
+    assert run(["components", "C7C3"]) == 4
+    assert "[R : I] != |G'|" in capsys.readouterr().err
+
+
+def test_components_checks_the_inertia_relation(capsys, monkeypatch):
+    monkeypatch.setattr("metab.cli.inertia_relation_check", lambda mc, ideal: False)
+    assert run(["components", "C7C3"]) == 4
+    assert "inertia relation fails" in capsys.readouterr().err
+
+
+def test_classify_checks_inner_verdict_against_conjugator(capsys, monkeypatch):
+    # gamma_(0,1) is conjugation by x1; exit 0 at the parent
+    assert run(["classify", "3", "2", "0", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("metab.iacalc.find_conjugator", lambda e: None)
+    assert run(["classify", "3", "2", "0", "1"]) == 4
+    assert "conjugator search" in capsys.readouterr().err
 
 
 def test_cache_file_is_named_by_hash_only(capsys, tmp_path):

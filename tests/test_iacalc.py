@@ -5,34 +5,32 @@ import random
 
 import pytest
 
+from magnus_extras import (
+    RingMap,
+    ab_matrix,
+    commutator,
+    conjugator_by_enumeration,
+    endo_apply,
+    endo_compose,
+    gen_det,
+    ia_compose,
+    ia_identity,
+    kappa_elem,
+    random_word_element,
+    sl2_move_images,
+    witness_equal,
+)
 from metab.grpring import augmentation, monomial_part, ring_make, try_invert
 from metab.iacalc import (
     IAEndo,
-    ab_ring_map,
-    endo_apply,
-    endo_compose,
     find_conjugator,
-    gen_det,
     ia_apply,
     ia_classify,
-    ia_compose,
     ia_det,
-    ia_identity,
     ia_matrix,
     is_bijective_on_w,
-    sl2_move_images,
 )
-from metab.magnus import (
-    commutator,
-    conj,
-    derived_elem,
-    enumerate_w,
-    gens,
-    identity,
-    kappa_elem,
-    random_word_element,
-    witness_equal,
-)
+from metab.magnus import conj, derived_elem, enumerate_w, gens, identity
 from metab.nielsen import mat_det, mat_mul
 
 
@@ -142,7 +140,7 @@ def test_classification_agrees_with_brute_force_on_w22_sample():
         verdict = ia_classify(e)
         bij = is_bijective_on_w(e, budget=500)
         assert bij == (verdict.kind != "not_automorphism")
-        w = find_conjugator(e, budget=500)
+        w = conjugator_by_enumeration(e, budget=500)
         assert (w is not None) == (verdict.kind == "inner")
         # linear-algebra fallbacks agree with literal enumeration
         assert is_bijective_on_w(e) == bij
@@ -189,10 +187,8 @@ def test_gen_det_crossed_homomorphism():
         ]
         for outer, inner in itertools.product(moves, repeat=2):
             composite = endo_compose(outer, inner)
-            from metab.iacalc import ab_matrix
-
             lhs = gen_det(composite)
-            rhs = gen_det(outer) * ab_ring_map(ctx, ab_matrix(outer))(gen_det(inner))
+            rhs = gen_det(outer) * RingMap(ctx, ab_matrix(outer))(gen_det(inner))
             assert witness_equal(lhs, rhs)
 
 
@@ -220,7 +216,7 @@ def test_simultaneous_conjugacy_finite_form_w22():
         e = IAEndo(r1, r2)
         if try_invert(ia_det(e)) is None:
             continue
-        w = find_conjugator(e, budget=500)
+        w = conjugator_by_enumeration(e, budget=500)
         assert (w is not None) == (monomial_part(ia_det(e)) is not None)
         if w is not None:
             inner_count += 1
@@ -233,7 +229,7 @@ def test_simultaneous_conjugacy_finite_form_w22():
     # commutator of the image pair equals [x1, x2] on the nose...
     assert commutator(y1, y2) == kappa_elem(ctx)
     # ...yet the pairs are not simultaneously conjugate
-    assert find_conjugator(e, budget=500) is None
+    assert conjugator_by_enumeration(e, budget=500) is None
     assert monomial_part(ia_det(e)) is None
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from metab import linalg
+from stability import intersect_spans
 
 
 def brute_span(rows, N):
@@ -125,7 +126,7 @@ def test_intersect_spans(N):
     for _ in range(8):
         B1 = random_matrix(rng, (2, 3), N)
         B2 = random_matrix(rng, (2, 3), N)
-        got = linalg.intersect_spans(B1, B2, N)
+        got = intersect_spans(B1, B2, N)
         expected = brute_span(B1, N) & brute_span(B2, N)
         assert brute_span(got, N) == expected if got.size else expected == {(0, 0, 0)}
 
