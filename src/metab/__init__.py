@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 from .errors import BudgetError, HypothesisError, InvariantViolation, ParseError
 from .grpring import RingCtx, RingElem, augmentation, monomial_part, ring_make, try_invert
 from .magnus import MagnusElem, enumerate_w, gens, membership, section
-from .iacalc import IAEndo, ia_apply, ia_classify, ia_det, ia_matrix
+from .iacalc import IAEndo, ia_classify, ia_det, ia_matrix
 from .fingrp import (
     FinGroup,
     ModuleCtx,

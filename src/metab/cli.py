@@ -24,7 +24,8 @@ Exit 4 covers these checks:
     parameter pair descends to an endomorphism of G;
   * `classify` with |W| within its verify budget: the determinant is a
     unit exactly when gamma_r is bijective on W, and a monomial exactly
-    when a conjugator exists.
+    when a conjugator exists; `classify --exhaustive` runs both checks on
+    one representative pair per distinct determinant.
 """
 
 from __future__ import annotations
@@ -45,9 +46,12 @@ from .congruence import certify
 from .errors import BudgetError, HypothesisError, InvariantViolation, ParseError
 from .fingrp import FinGroup, ModuleCtx, ia_descend, inertia_relation_check, kernel_ideal
 from .grpring import RingCtx, RingElem, augmentation, monomial_part, ring_make, try_invert
-from .iacalc import IAEndo, ia_classify, ia_det, ia_matrix
+from .iacalc import IAEndo, ia_classify, ia_det, ia_matrix, pair_dets
 from .modcurve import component_report
 from .nielsen import ActionTable, orbits, stabilizer_mod
+
+
+VERIFY_BUDGET = 2000  # classify checks its verdicts on W itself when |W| is at most this
 
 
 @dataclass
@@ -283,6 +287,31 @@ def cmd_ring(config: RunConfig, n: int, m: int, expr: str) -> dict:
     return doc
 
 
+def _exhaustive_rows(ctx: RingCtx) -> list[dict]:
+    """The verdict on every parameter pair, classifying each distinct determinant once.
+
+    The verdict depends on r only through det(gamma_r), so the first pair
+    with a given determinant runs `ia_classify`, verified on W when |W| fits
+    VERIFY_BUDGET, and must reproduce the batched determinant.
+    """
+    elems = list(ctx.all_elements())
+    vecs = [x.vec().tolist() for x in elems]
+    kinds: dict[tuple, str] = {}
+    rows = []
+    for i, row in enumerate(pair_dets(ctx, elems).tolist()):
+        for j, det in enumerate(row):
+            kind = kinds.get(tuple(det))
+            if kind is None:
+                verdict = ia_classify(IAEndo(elems[i], elems[j]), verify_budget=VERIFY_BUDGET)
+                if verdict.det.vec().tolist() != det:
+                    raise RuntimeError(
+                        f"batched determinant differs from ia_det at r = ({elems[i]}, {elems[j]})"
+                    )
+                kind = kinds[tuple(det)] = verdict.kind
+            rows.append({"r1": vecs[i], "r2": vecs[j], "det": det, "verdict": kind})
+    return rows
+
+
 def cmd_classify(config: RunConfig, n: int, m: int, r1: str, r2: str) -> dict:
     ctx = ring_make(n, m)
     if config.exhaustive:
@@ -290,24 +319,11 @@ def cmd_classify(config: RunConfig, n: int, m: int, r1: str, r2: str) -> dict:
             raise BudgetError(
                 f"|R|^2 = {ctx.size ** 2} exceeds --max-ring {config.max_ring}"
             )
-        rows = []
-        for e1 in ctx.all_elements():
-            for e2 in ctx.all_elements():
-                endo = IAEndo(e1, e2)
-                verdict = ia_classify(endo)
-                rows.append(
-                    {
-                        "r1": [int(c) for c in e1.vec()],
-                        "r2": [int(c) for c in e2.vec()],
-                        "det": [int(c) for c in verdict.det.vec()],
-                        "verdict": verdict.kind,
-                    }
-                )
-        doc = {"ring": {"n": n, "m": m}, "rows": rows}
+        doc = {"ring": {"n": n, "m": m}, "rows": _exhaustive_rows(ctx)}
         _emit(doc, config.out)
         return doc
     endo = IAEndo(parse_ring_expr(r1, ctx), parse_ring_expr(r2, ctx))
-    verdict = ia_classify(endo, verify_budget=2000)
+    verdict = ia_classify(endo, verify_budget=VERIFY_BUDGET)
     mat = ia_matrix(endo)
     doc = {
         "ring": {"n": n, "m": m},

@@ -5,6 +5,11 @@ rank-2 profinite abelianization.  Elements are m x m coefficient arrays with
 entry (i, j) the coefficient of a1^i a2^j; multiplication is 2-D cyclic
 convolution of the exponents.
 
+The convolution is one gather and one matrix-vector product.  For each m a
+cached shift index idx[k, l] holds the flat index of the exponent pair
+k - l (mod m in each coordinate), so y[idx] is the m^2 x m^2 matrix of
+multiplication by y on the monomial basis, and x*y = y[idx] @ x mod n.
+
 Beyond the ring operations this module provides the structural maps the
 IA-calculus rests on: the augmentation, unit inversion (CRT over the prime
 powers of n plus Hensel lifting) and monomial recognition.
@@ -184,11 +189,8 @@ class RingElem:
         if isinstance(other, int):
             return RingElem(self.ctx, (self.coeffs * other) % self.ctx.n)
         self._check(other)
-        acc = np.zeros_like(self.coeffs)
-        ys = other.coeffs
-        for i, j in zip(*np.nonzero(self.coeffs)):
-            acc = acc + int(self.coeffs[i, j]) * np.roll(np.roll(ys, i, axis=0), j, axis=1)
-        return RingElem(self.ctx, acc % self.ctx.n)
+        prod = _mult_matrix(other) @ self.vec() % self.ctx.n
+        return RingElem(self.ctx, prod.reshape(self.ctx.m, self.ctx.m))
 
     __rmul__ = __mul__
 
@@ -232,14 +234,18 @@ def augmentation(x: RingElem) -> int:
     return int(x.coeffs.sum() % x.ctx.n)
 
 
+@lru_cache(maxsize=None)
+def _shift_index(m: int) -> np.ndarray:
+    """idx[k, l] = flat index of the exponents k - l, each coordinate mod m (read-only)."""
+    i, j = np.divmod(np.arange(m * m), m)
+    idx = (i[:, None] - i[None, :]) % m * m + (j[:, None] - j[None, :]) % m
+    idx.setflags(write=False)
+    return idx
+
+
 def _mult_matrix(x: RingElem) -> np.ndarray:
     """Matrix of y -> x*y on the monomial basis (column (i,j) = vec(x * a1^i a2^j))."""
-    m, n = x.ctx.m, x.ctx.n
-    cols = []
-    for i in range(m):
-        for j in range(m):
-            cols.append(np.roll(np.roll(x.coeffs, i, axis=0), j, axis=1).reshape(-1))
-    return np.array(cols, dtype=np.int64).T % n
+    return x.vec()[_shift_index(x.ctx.m)]
 
 
 def try_invert(x: RingElem) -> RingElem | None:
@@ -268,12 +274,8 @@ def try_invert(x: RingElem) -> RingElem | None:
 
 def _fold_exponents(coeffs: np.ndarray, m_red: int, n: int) -> np.ndarray:
     """Image under R(n, m) -> R(n, m_red), a_i -> a_i (m_red | m)."""
-    m = coeffs.shape[0]
-    out = np.zeros((m_red, m_red), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            out[i % m_red, j % m_red] += coeffs[i, j]
-    return out % n
+    k = coeffs.shape[0] // m_red
+    return coeffs.reshape(k, m_red, k, m_red).sum(axis=(0, 2)) % n
 
 
 def _invert_mod_prime_power(x: RingElem, p: int, k: int) -> np.ndarray | None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import linalg
 from .errors import InvariantViolation
-from .grpring import RingCtx, RingElem, monomial_part, try_invert
+from .grpring import RingCtx, RingElem, _mult_matrix, monomial_part, try_invert
 from .magnus import (
     MagnusElem,
     conj,
@@ -35,6 +35,7 @@ from .magnus import (
     gens,
     lambda_basis,
     membership,
+    require_in_w,
     section,
     w_order,
 )
@@ -75,6 +76,11 @@ def ia_matrix(e: IAEndo) -> Matrix2:
     )
 
 
+def bachmuth_matrix(e: IAEndo) -> np.ndarray:
+    """gamma_r on T = R(n, m)^2 as a 2m^2 x 2m^2 matrix: t -> B @ t on (b1, b2) coefficients."""
+    return np.block([[_mult_matrix(cell) for cell in row] for row in ia_matrix(e)])
+
+
 def ia_det(e: IAEndo) -> RingElem:
     """det(gamma_r) = 1 + r1 (1 - a2) + r2 (a1 - 1); augmentation is always 1."""
     ctx = e.ctx
@@ -82,14 +88,16 @@ def ia_det(e: IAEndo) -> RingElem:
     return one + e.r1 * (one - ctx.monomial(0, 1)) + e.r2 * (ctx.monomial(1, 0) - one)
 
 
-def ia_apply(e: IAEndo, z: MagnusElem) -> MagnusElem:
-    """gamma_r(z) for z in W (membership enforced)."""
-    if membership(z) is None:
-        raise ValueError("element is not in W(n, m)")
-    mat = ia_matrix(e)
-    b1 = mat[0][0] * z.b1 + mat[0][1] * z.b2
-    b2 = mat[1][0] * z.b1 + mat[1][1] * z.b2
-    return MagnusElem(z.ctx, b1, b2, z.v)
+def pair_dets(ctx: RingCtx, elems: list[RingElem]) -> np.ndarray:
+    """dets[i, j] = vec(det(gamma_r)) for r = (elems[i], elems[j]).
+
+    The determinant is affine in (r1, r2), so all pairs cost two matrix products.
+    """
+    one = ctx.one()
+    vecs = np.array([x.vec() for x in elems]).reshape(len(elems), -1)
+    p1 = vecs @ _mult_matrix(one - ctx.monomial(0, 1)).T
+    p2 = vecs @ _mult_matrix(ctx.monomial(1, 0) - one).T
+    return (one.vec() + p1[:, None, :] + p2[None, :, :]) % ctx.n
 
 
 @dataclass(frozen=True)
@@ -137,26 +145,22 @@ def ia_classify(e: IAEndo, verify_budget: int | None = None) -> Classification:
 def is_bijective_on_w(e: IAEndo, budget: int | None = None) -> bool:
     """Brute bijectivity of gamma_r on W.
 
-    Enumerates W outright when it fits the budget; otherwise uses that
-    gamma_r fixes each A-coset and acts on the T-part lattice by the
-    Bachmuth matrix, so bijectivity equals that lattice map being onto.
+    Enumerates W outright when it fits the budget, checks every element's
+    membership in one batched pass and counts the distinct images; otherwise
+    uses that gamma_r fixes each A-coset and acts on the T-part lattice by
+    the Bachmuth matrix, so bijectivity equals that lattice map being onto.
     """
     ctx = e.ctx
+    mat = bachmuth_matrix(e)
     if budget is not None and w_order(ctx) <= budget:
-        elems = enumerate_w(ctx, budget)
-        image = {ia_apply(e, z) for z in elems}
-        return len(image) == len(elems)
+        w = enumerate_w(ctx, budget)
+        require_in_w(w)
+        image = np.hstack([w.v, w.t @ mat.T % ctx.n])
+        image = image[np.lexsort(image.T)]
+        distinct = 1 + np.count_nonzero((image[1:] != image[:-1]).any(axis=1))
+        return distinct == len(image)
     basis = lambda_basis(ctx)
-    mat = ia_matrix(e)
-    m2 = ctx.m * ctx.m
-    rows = []
-    for row in basis:
-        b1 = ctx.elem(row[:m2].reshape(ctx.m, ctx.m))
-        b2 = ctx.elem(row[m2:].reshape(ctx.m, ctx.m))
-        img1 = mat[0][0] * b1 + mat[0][1] * b2
-        img2 = mat[1][0] * b1 + mat[1][1] * b2
-        rows.append(np.concatenate([img1.vec(), img2.vec()]))
-    image_span = linalg.howell(np.array(rows, dtype=np.int64), ctx.n)
+    image_span = linalg.howell(basis @ mat.T, ctx.n)
     return linalg.span_size(image_span, ctx.n) == linalg.span_size(basis, ctx.n)
 
 
@@ -177,15 +181,9 @@ def find_conjugator(e: IAEndo) -> MagnusElem | None:
     a1m1 = ctx.monomial(1, 0) - one
     a2m1 = ctx.monomial(0, 1) - one
     # conj_w(x_i).b = a_w * t_i + (1 - a_i) * w.b ; unknown w.b = sigma(v).b + lattice part
-    cols = []
-    for row in basis:
-        b1 = ctx.elem(row[:m2].reshape(ctx.m, ctx.m))
-        b2 = ctx.elem(row[m2:].reshape(ctx.m, ctx.m))
-        col = np.concatenate(
-            [(-a1m1 * b1).vec(), (-a1m1 * b2).vec(), (-a2m1 * b1).vec(), (-a2m1 * b2).vec()]
-        )
-        cols.append(col)
-    A = np.array(cols, dtype=np.int64).T % ctx.n
+    u1, u2 = _mult_matrix(-a1m1), _mult_matrix(-a2m1)
+    b1, b2 = basis[:, :m2].T, basis[:, m2:].T
+    A = np.vstack([u1 @ b1, u1 @ b2, u2 @ b1, u2 @ b2]) % ctx.n
     for v1 in range(ctx.m):
         for v2 in range(ctx.m):
             a_w = ctx.monomial(v1, v2)
@@ -207,7 +205,9 @@ def find_conjugator(e: IAEndo) -> MagnusElem | None:
                 base.b2 + ctx.elem(lam[m2:].reshape(ctx.m, ctx.m)),
                 (v1, v2),
             )
-            if conj(x1, w) != y1 or conj(x2, w) != y2:
-                raise RuntimeError("find_conjugator: solved w does not conjugate onto the images")
+            if membership(w) is None or conj(x1, w) != y1 or conj(x2, w) != y2:
+                raise RuntimeError(
+                    "find_conjugator: solved w is not in W or does not conjugate onto the images"
+                )
             return w
     return None

@@ -232,6 +232,18 @@ class SpanSolver:
             return None
         return coeffs
 
+    def contains_rows(self, V) -> np.ndarray:
+        """Boolean mask: which rows of V lie in the span (one reduction for all rows)."""
+        residue = np.atleast_2d(np.asarray(V, dtype=np.int64)) % self.N
+        stuck = np.zeros(residue.shape[0], dtype=bool)
+        for row, col in zip(self._main, self._pivots):
+            a = residue[:, col]
+            d = int(row[col])
+            stuck |= a % d != 0  # pivot divides N, so non-divisibility is final
+            q = np.where(stuck, 0, a // d)
+            residue = (residue - q[:, None] * row[None, : self.dim]) % self.N
+        return ~stuck & ~residue.any(axis=1)
+
     def basis(self) -> np.ndarray:
         rows = [r[: self.dim] for r in self._main]
         if not rows:

@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .grpring import BudgetError, RingCtx, RingElem, ring_make
+from .grpring import BudgetError, RingCtx, RingElem, _mult_matrix, ring_make
 
 
 class MagnusElem:
@@ -164,10 +165,8 @@ class _CtxCache:
         self.ctx = ctx
         n, m = ctx.n, ctx.m
         k1, k2 = kappa_vec(ctx)
-        kappa_rows = []
-        for mono in ctx.monomials():
-            kappa_rows.append(np.concatenate([(mono * k1).vec(), (mono * k2).vec()]))
-        self.kappa_rows = np.array(kappa_rows, dtype=np.int64)
+        # row l: kappa times the l-th monomial, i.e. column l of each multiplication matrix
+        self.kappa_rows = np.hstack([_mult_matrix(k1).T, _mult_matrix(k2).T])
         zero = np.zeros(m * m, dtype=np.int64)
         n1 = np.concatenate([ctx.norm1().vec(), zero])
         n2 = np.concatenate([zero, ctx.norm2().vec()])
@@ -176,6 +175,9 @@ class _CtxCache:
         self.lambda_solver = linalg.SpanSolver(
             np.vstack([self.kappa_rows, self.norm_rows]), n
         )
+        # row v1*m + v2: T-part of section(v); the A-exponents in that order
+        self.exponents = np.array([(v1, v2) for v1 in range(m) for v2 in range(m)])
+        self.sections = np.array([section(ctx, tuple(v)).bvec() for v in self.exponents])
 
 
 @lru_cache(maxsize=None)
@@ -213,7 +215,16 @@ def w_order(ctx: RingCtx) -> int:
     return ctx.m**2 * linalg.span_size(lambda_basis(ctx), n)
 
 
-def enumerate_w(ctx: RingCtx, budget: int = 10**6) -> list[MagnusElem]:
+class WArray(NamedTuple):
+    """Elements of W(n, m) as rows: T-parts t (N x 2m^2, the b1 then the b2
+    coefficients) and A-exponents v (N x 2, each in [0, m))."""
+
+    ctx: RingCtx
+    t: np.ndarray
+    v: np.ndarray
+
+
+def enumerate_w(ctx: RingCtx, budget: int = 10**6) -> WArray:
     """Every element of W(n, m), ordered lexicographically by (v, T-part).
 
     Deterministic; raises BudgetError when |W| exceeds the budget.
@@ -221,23 +232,29 @@ def enumerate_w(ctx: RingCtx, budget: int = 10**6) -> list[MagnusElem]:
     total = w_order(ctx)
     if total > budget:
         raise BudgetError(f"|W({ctx.n},{ctx.m})| = {total} exceeds budget {budget}")
-    n, m = ctx.n, ctx.m
-    lattice = sorted(
-        tuple(int(c) for c in vec)
-        for vec in linalg.enumerate_span(lambda_basis(ctx), n, 2 * m * m)
-    )
-    out = []
-    for v1 in range(m):
-        for v2 in range(m):
-            base = section(ctx, (v1, v2)).bvec()
-            for lam in lattice:
-                vec = (base + np.array(lam, dtype=np.int64)) % n
-                out.append(
-                    MagnusElem(
-                        ctx,
-                        ctx.elem(vec[: m * m].reshape(m, m)),
-                        ctx.elem(vec[m * m :].reshape(m, m)),
-                        (v1, v2),
-                    )
-                )
-    return out
+    cache = _cache(ctx.n, ctx.m)
+    lattice = np.array(list(linalg.enumerate_span(lambda_basis(ctx), ctx.n, 2 * ctx.m**2)))
+    lattice = lattice[np.lexsort(lattice.T[::-1])]
+    t = (cache.sections[:, None, :] + lattice[None, :, :]) % ctx.n
+    return WArray(ctx, t.reshape(total, -1), np.repeat(cache.exponents, len(lattice), axis=0))
+
+
+def require_in_w(w: WArray) -> None:
+    """Raise ValueError unless every row of w lies in W(n, m).
+
+    The batched form of `membership`: D = 0 on every row, and every row's
+    T-part minus its section's lies in Lambda_0, in one span reduction.
+    """
+    ctx, m2 = w.ctx, w.ctx.m**2
+    cache = _cache(ctx.n, ctx.m)
+    one = ctx.one()
+    u1 = _mult_matrix(ctx.monomial(1, 0) - one)
+    u2 = _mult_matrix(ctx.monomial(0, 1) - one)
+    mono = (w.v[:, 0] % ctx.m) * ctx.m + w.v[:, 1] % ctx.m
+    d = -(w.t[:, :m2] @ u1.T + w.t[:, m2:] @ u2.T)  # D = a - 1 - (b1 (a1-1) + b2 (a2-1))
+    d[np.arange(len(d)), mono] += 1
+    d[:, 0] -= 1
+    if (d % ctx.n).any():
+        raise ValueError("element is not in W(n, m): D does not vanish")
+    if not cache.lambda_solver.contains_rows(w.t - cache.sections[mono]).all():
+        raise ValueError("element is not in W(n, m)")

@@ -6,26 +6,86 @@ Generic endomorphisms of W(n, m) given by generator images (`endo_apply`,
 the Bachmuth matrix; the tests compare the two.  The rest are small
 helpers the Magnus, IA and stability tests share: commutators, the
 annihilator of kappa, the normal form x1^e1 x2^e2 [x1,x2]^alpha, composition
-of IA parameters, and an exhaustive conjugator search over W.
+of IA parameters, and the per-element oracles for the batched paths of
+`metab`: W enumerated as element objects (for the array form of
+`enumerate_w`), gamma_r applied one element at a time (for
+`is_bijective_on_w`) and an exhaustive conjugator search over W.
 """
 
 import numpy as np
 
 from metab import linalg
 from metab.errors import InvariantViolation
-from metab.grpring import RingCtx, RingElem
-from metab.iacalc import IAEndo, ia_det
+from metab.grpring import BudgetError, RingCtx, RingElem
+from metab.iacalc import IAEndo, ia_det, ia_matrix
 from metab.magnus import (
     MagnusElem,
+    WArray,
     _cache,
     conj,
     derived_elem,
-    enumerate_w,
     gens,
     identity,
     kappa_vec,
+    lambda_basis,
     membership,
+    section,
+    w_order,
 )
+
+
+def elements_of(w: WArray) -> list[MagnusElem]:
+    """The rows of an array form of W-elements as objects, in order."""
+    ctx, m2 = w.ctx, w.ctx.m**2
+    return [
+        MagnusElem(
+            ctx,
+            ctx.elem(t[:m2].reshape(ctx.m, ctx.m)),
+            ctx.elem(t[m2:].reshape(ctx.m, ctx.m)),
+            (int(v[0]), int(v[1])),
+        )
+        for t, v in zip(w.t, w.v)
+    ]
+
+
+def w_elements(ctx: RingCtx, budget: int = 10**6) -> list[MagnusElem]:
+    """Every element of W(n, m) as an object, ordered lexicographically by (v, T-part).
+
+    One element at a time: a sorted lattice of tuples plus each section.
+    """
+    total = w_order(ctx)
+    if total > budget:
+        raise BudgetError(f"|W({ctx.n},{ctx.m})| = {total} exceeds budget {budget}")
+    n, m = ctx.n, ctx.m
+    lattice = sorted(
+        tuple(int(c) for c in vec)
+        for vec in linalg.enumerate_span(lambda_basis(ctx), n, 2 * m * m)
+    )
+    out = []
+    for v1 in range(m):
+        for v2 in range(m):
+            base = section(ctx, (v1, v2)).bvec()
+            for lam in lattice:
+                vec = (base + np.array(lam, dtype=np.int64)) % n
+                out.append(
+                    MagnusElem(
+                        ctx,
+                        ctx.elem(vec[: m * m].reshape(m, m)),
+                        ctx.elem(vec[m * m :].reshape(m, m)),
+                        (v1, v2),
+                    )
+                )
+    return out
+
+
+def ia_apply(e: IAEndo, z: MagnusElem) -> MagnusElem:
+    """gamma_r(z) for z in W (membership enforced), through the ring-element matrix."""
+    if membership(z) is None:
+        raise ValueError("element is not in W(n, m)")
+    mat = ia_matrix(e)
+    b1 = mat[0][0] * z.b1 + mat[0][1] * z.b2
+    b2 = mat[1][0] * z.b1 + mat[1][1] * z.b2
+    return MagnusElem(z.ctx, b1, b2, z.v)
 
 
 def commutator(x: MagnusElem, y: MagnusElem) -> MagnusElem:
@@ -108,10 +168,10 @@ def ia_compose(e: IAEndo, f: IAEndo) -> IAEndo:
 
 
 def conjugator_by_enumeration(e: IAEndo, budget: int) -> MagnusElem | None:
-    """The first w of `enumerate_w` with gamma_r = conjugation by w, or None."""
+    """The first w of `w_elements` with gamma_r = conjugation by w, or None."""
     x1, x2 = gens(e.ctx)
     y1, y2 = e.images()
-    for w in enumerate_w(e.ctx, budget):
+    for w in w_elements(e.ctx, budget):
         if conj(x1, w) == y1 and conj(x2, w) == y2:
             return w
     return None

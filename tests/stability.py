@@ -15,9 +15,9 @@ from metab import linalg, magnus
 from metab.errors import InvariantViolation
 from metab.fingrp import IdealBasis, ModuleCtx, kernel_ideal, solve_commutator_power
 from metab.grpring import RingCtx, RingElem
-from metab.iacalc import IAEndo, ia_apply, ia_det
+from metab.iacalc import IAEndo, ia_det
 
-from magnus_extras import ann_kappa, kappa_line_basis
+from magnus_extras import ann_kappa, ia_apply, kappa_line_basis
 
 
 def intersect_spans(B1, B2, N: int) -> np.ndarray:

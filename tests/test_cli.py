@@ -122,6 +122,36 @@ def test_cmd_classify_exhaustive(capsys):
     assert kinds == {"inner", "automorphism"}  # R(2,2) dets are all units
 
 
+def test_exhaustive_rows_agree_with_per_pair_classify(capsys):
+    from metab.iacalc import IAEndo, ia_classify
+
+    code, doc = run_json(capsys, ["classify", "2", "2", "--exhaustive"])
+    assert code == 0
+    ctx = ring_make(2, 2)
+    pairs = [(r1, r2) for r1 in ctx.all_elements() for r2 in ctx.all_elements()]
+    assert len(doc["rows"]) == len(pairs)
+    for row, (r1, r2) in zip(doc["rows"], pairs):
+        verdict = ia_classify(IAEndo(r1, r2))
+        assert row == {"r1": r1.vec().tolist(), "r2": r2.vec().tolist(),
+                       "det": verdict.det.vec().tolist(), "verdict": verdict.kind}
+
+
+def test_classify_exhaustive_checks_verdicts_on_w(capsys, monkeypatch):
+    # with no monomial recognized, "inner" is missed; the conjugator check catches it
+    monkeypatch.setattr("metab.iacalc.monomial_part", lambda x: None)
+    assert run(["classify", "2", "2", "--exhaustive"]) == 4
+    assert "conjugator search" in capsys.readouterr().err
+
+
+def test_classify_exhaustive_checks_batched_determinants(capsys, monkeypatch):
+    from metab import cli
+
+    pair_dets = cli.pair_dets
+    monkeypatch.setattr(cli, "pair_dets", lambda ctx, elems: (pair_dets(ctx, elems) + 1) % ctx.n)
+    assert run(["classify", "2", "2", "--exhaustive"]) == 5
+    assert "batched determinant" in capsys.readouterr().err
+
+
 def test_cmd_orbits_s3(capsys):
     code, doc = run_json(capsys, ["orbits", "S3"])
     assert code == 0

@@ -5,9 +5,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metab import grpring
-from metab.grpring import augmentation, monomial_part, ring_make, try_invert
+from metab.grpring import (
+    _fold_exponents,
+    _mult_matrix,
+    augmentation,
+    monomial_part,
+    ring_make,
+    try_invert,
+)
 
 
 def naive_mul(ctx, x, y):
@@ -139,3 +148,44 @@ def test_pow():
     assert x**0 == ctx.one()
     assert x**3 == x * x * x
     assert a1**-1 == ctx.monomial(2, 0)
+
+
+@st.composite
+def ring_elems(draw, count):
+    """A context R(n, m) and `count` of its elements."""
+    ctx = ring_make(draw(st.sampled_from([2, 4, 6, 8, 9, 12])), draw(st.integers(2, 5)))
+    coeffs = st.lists(st.integers(0, ctx.n - 1), min_size=ctx.m**2, max_size=ctx.m**2)
+    return ctx, [ctx.elem(np.reshape(draw(coeffs), (ctx.m, ctx.m))) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elems(2))
+def test_gather_mul_matches_naive_and_mult_matrix(case):
+    ctx, (x, y) = case
+    assert x * y == naive_mul(ctx, x, y)
+    assert list(_mult_matrix(x) @ y.vec() % ctx.n) == list((x * y).vec())
+
+
+@settings(max_examples=60, deadline=None)
+@given(ring_elems(3))
+def test_ring_axioms_property(case):
+    ctx, (x, y, z) = case
+    assert (x * y) * z == x * (y * z)
+    assert x * y == y * x
+    assert x * (y + z) == x * y + x * z
+    assert x * ctx.one() == x
+
+
+def fold_by_loop(coeffs, m_red, n):
+    """Oracle: add each coefficient into its exponents mod m_red."""
+    out = np.zeros((m_red, m_red), dtype=np.int64)
+    for i, j in itertools.product(range(coeffs.shape[0]), repeat=2):
+        out[i % m_red, j % m_red] += coeffs[i, j]
+    return out % n
+
+
+def test_fold_exponents_matches_loop():
+    rng = random.Random(11)
+    for n, m, m_red in [(2, 4, 2), (3, 6, 2), (3, 6, 3), (5, 4, 1), (4, 6, 6)]:
+        coeffs = ring_make(n, m).random_elem(rng).coeffs
+        assert np.array_equal(_fold_exponents(coeffs, m_red, n), fold_by_loop(coeffs, m_red, n))

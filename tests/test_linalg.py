@@ -147,3 +147,16 @@ def test_span_solver_agrees_with_howell():
             assert c is None
         if hits > 300:
             break
+
+
+@pytest.mark.parametrize("N", [6, 8, 9])
+def test_span_solver_contains_rows_agrees_with_solve(N):
+    rng = random.Random(700 + N)
+    gens = random_matrix(rng, (3, 4), N)
+    solver = linalg.SpanSolver(gens, N)
+    span = np.array(sorted(brute_span(gens, N)), dtype=np.int64)
+    others = np.array([[rng.randrange(N) for _ in range(4)] for _ in range(200)], dtype=np.int64)
+    rows = np.vstack([span, others])
+    mask = solver.contains_rows(rows)
+    assert mask[: len(span)].all()
+    assert list(mask) == [solver.solve(v) is not None for v in rows]

@@ -9,10 +9,12 @@ from magnus_extras import (
     ann_kappa,
     ann_kappa_basis,
     commutator,
+    elements_of,
     kappa_elem,
     kappa_line_basis,
     random_word_element,
     reduce_mod_ann,
+    w_elements,
     witness_equal,
     word_decomposition,
 )
@@ -20,6 +22,7 @@ from metab import linalg
 from metab.grpring import BudgetError, ring_make
 from metab.magnus import (
     MagnusElem,
+    WArray,
     conj,
     d_value,
     derived_elem,
@@ -29,6 +32,7 @@ from metab.magnus import (
     kappa_vec,
     lambda_basis,
     membership,
+    require_in_w,
     section,
     w_order,
 )
@@ -134,14 +138,14 @@ def test_membership_examples():
 
 def test_enumerate_matches_brute_closure_w22():
     ctx = ring_make(2, 2)
-    listed = enumerate_w(ctx)
+    listed = elements_of(enumerate_w(ctx))
     assert len(listed) == len(set(listed)) == w_order(ctx)
     assert set(listed) == brute_subgroup(ctx)
 
 
 def test_enumerate_matches_brute_closure_w23():
     ctx = ring_make(2, 3)
-    listed = enumerate_w(ctx)
+    listed = elements_of(enumerate_w(ctx))
     assert set(listed) == brute_subgroup(ctx)
 
 
@@ -159,7 +163,7 @@ def test_norm_wraparound_escapes_kappa_line():
 
 def test_membership_closed_under_mul_exhaustive_w22():
     ctx = ring_make(2, 2)
-    elems = enumerate_w(ctx)
+    elems = elements_of(enumerate_w(ctx))
     for z in elems:
         assert membership(z) is not None
         assert membership(z.inv()) is not None
@@ -222,7 +226,7 @@ def test_commutation_relation():
 
 def test_derived_subgroup_is_kappa_line_exactly():
     ctx = ring_make(2, 2)
-    elems = enumerate_w(ctx)
+    elems = elements_of(enumerate_w(ctx))
     comms = set()
     for z, w in itertools.product(elems, repeat=2):
         comms.add(commutator(z, w))
@@ -289,3 +293,50 @@ def test_enumerate_budget():
     ctx = ring_make(3, 3)
     with pytest.raises(BudgetError):
         enumerate_w(ctx, budget=10)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_enumerate_array_form_matches_objects_in_order(n, m):
+    ctx = ring_make(n, m)
+    w = enumerate_w(ctx)
+    assert w.t.shape == (w_order(ctx), 2 * m * m) and w.v.shape == (w_order(ctx), 2)
+    assert elements_of(w) == w_elements(ctx)
+
+
+@pytest.mark.parametrize("n,m", [(2, 2), (3, 2), (2, 3)])
+def test_batched_membership_agrees_with_membership(n, m):
+    ctx = ring_make(n, m)
+    w = enumerate_w(ctx)
+    require_in_w(w)
+    basis = lambda_basis(ctx)
+    rng = random.Random(n * m)
+    seen = set()
+    for k in range(20):
+        i, col = rng.randrange(len(w.t)), rng.randrange(2 * m * m)
+        t = w.t.copy()
+        if k % 2:  # a Lambda_0 step stays in W
+            t[i] = (t[i] + basis[rng.randrange(len(basis))]) % n
+        else:
+            t[i, col] = (t[i, col] + rng.randrange(1, n)) % n
+        row = elements_of(WArray(ctx, t[i : i + 1], w.v[i : i + 1]))[0]
+        perturbed = WArray(ctx, t, w.v)
+        seen.add(membership(row) is not None)
+        if membership(row) is None:
+            with pytest.raises(ValueError):
+                require_in_w(perturbed)
+        else:
+            require_in_w(perturbed)
+    assert seen == {True, False}
+
+
+def test_batched_membership_rejects_a_perturbed_row():
+    ctx = ring_make(3, 2)
+    w = enumerate_w(ctx)
+    t = w.t.copy()
+    t[500, 0] = (t[500, 0] + 1) % 3  # D changes by a unit: (t1, 1) is not in W
+    with pytest.raises(ValueError):
+        require_in_w(WArray(ctx, t, w.v))
+    v = w.v.copy()
+    v[7] = (v[7] + (1, 0)) % 2  # right T-part, wrong A-coset
+    with pytest.raises(ValueError):
+        require_in_w(WArray(ctx, w.t, v))
