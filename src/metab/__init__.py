@@ -17,7 +17,6 @@ from .fingrp import (
     FinGroup,
     ModuleCtx,
     group_make,
-    hom_extends,
     ia_descend,
     inertia_relation_check,
     kernel_ideal,

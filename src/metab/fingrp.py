@@ -3,14 +3,23 @@
 `perm_cycles` walks the cycles of one permutation and `perm_orbits` the
 orbits of a set of permutations; cusp widths, Wohlfahrt levels, SL2/GL2-
 orbits and the Out(G)-action on orbits are all read off these two.
-`outer_representatives` reads Out(G) off the classes of generating pairs,
-one homomorphism check per class, without enumerating Aut(G).
 
-Groups are closures of an ordered generating pair of permutations; elements
-are stored sorted by image tuple and all canonical forms refer to that
-order.  A `ModuleCtx` equips a metabelian group with the R(n, m)-module
-structure on G' (m = exponent of G^ab, n = exponent of G'), through which
-the IA-calculus descends to G:
+Groups are closures of an ordered generating pair (g1, g2) of permutations;
+elements are stored sorted by image tuple and all canonical forms refer to
+that order.  The closure is a breadth-first walk from 1 whose first visits
+form a spanning tree of the Cayley graph, each element p * g_i one level
+below its parent p (Schreier's method; Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005).  The multiplication table is filled one
+tree level at a time by x * (p * g_i) = (x * p) * g_i.  `FinGroup.extend_pair`
+defines f(p * g_i) = f(p) * h_i down the tree for a batch of image pairs
+(h1, h2) and keeps the rows where f(x * g_i) = f(x) * h_i holds on all 2|G|
+Cayley edges: exactly the homomorphisms G -> G.  `outer_representatives`
+reads Out(G) off the classes of generating pairs with one such batch,
+without enumerating Aut(G).  `FinGroup.closure` is the one subgroup closure.
+
+A `ModuleCtx` equips a metabelian group with the R(n, m)-module structure
+on G' (m = exponent of G^ab, n = exponent of G'), through which the
+IA-calculus descends to G:
 
   * `module_evaluate` computes w^r for r in the truncated group algebra;
   * `kernel_ideal` computes I = {r : c^r = 1} for c = [g1, g2];
@@ -45,13 +54,6 @@ TABLE_LIMIT = 2048  # largest |G| given a dense multiplication table
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Composite "q first, then p"."""
     return tuple(p[x] for x in q)
-
-
-def perm_inv(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, x in enumerate(p):
-        out[x] = i
-    return tuple(out)
 
 
 def perm_from_cycles(degree: int, cycles) -> Perm:
@@ -110,37 +112,51 @@ class FinGroup:
                 raise ValueError("not a permutation of the stated degree")
         self.degree = degree
         ident = tuple(range(degree))
-        seen = {ident}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for g in (g1, g2):
-                    q = perm_mul(p, g)
-                    if q not in seen:
-                        seen.add(q)
-                        nxt.append(q)
-                        if len(seen) > TABLE_LIMIT:
+        # breadth-first Cayley tree from the identity: found[k] = found[parent[k]] * pair[gen[k]]
+        found, where = [ident], {ident: 0}
+        parent, gen = [0], [0]
+        right = ([], [])  # right[i][k]: the index of found[k] * g_i
+        levels, start = [], 0
+        while start < len(found):
+            end = len(found)
+            levels.append((start, end))
+            for k in range(start, end):
+                for i, g in enumerate((g1, g2)):
+                    q = perm_mul(found[k], g)
+                    j = where.get(q)
+                    if j is None:
+                        if len(found) == TABLE_LIMIT:
                             raise BudgetError(
                                 f"group of order above {TABLE_LIMIT} exceeds the table budget"
                             )
-            frontier = nxt
-        self.elements: list[Perm] = sorted(seen)
+                        j = where[q] = len(found)
+                        found.append(q)
+                        parent.append(k)
+                        gen.append(i)
+                    right[i].append(j)
+            start = end
+        self.order = len(found)
+        by_image = sorted(range(self.order), key=found.__getitem__)
+        rank = np.empty(self.order, dtype=np.intp)
+        rank[by_image] = np.arange(self.order)
+        self.elements: list[Perm] = [found[k] for k in by_image]
         self.index = {p: i for i, p in enumerate(self.elements)}
-        self.order = len(self.elements)
         self.identity = self.index[ident]
         self.g1 = self.index[g1]
         self.g2 = self.index[g2]
         self.pair = (self.g1, self.g2)
-        # dense multiplication table; catalog groups are all tiny
+        # _right[i, x] = x * g_i; each tree level as (elements, parents, generators)
+        self._right = np.empty((2, self.order), dtype=np.intp)
+        self._right[:, rank] = rank[np.array(right)]
+        parent, gen = rank[parent], np.array(gen)
+        self._tree = [(rank[a:b], parent[a:b], gen[a:b]) for a, b in levels[1:]]
+        # x * (p * g) = (x * p) * g fills the table one tree level at a time
         tbl = np.empty((self.order, self.order), dtype=np.int32)
-        for i, p in enumerate(self.elements):
-            for j, q in enumerate(self.elements):
-                tbl[i, j] = self.index[perm_mul(p, q)]
+        tbl[:, self.identity] = np.arange(self.order)
+        for elems, parents, gens in self._tree:
+            tbl[:, elems] = self._right[gens, tbl[:, parents]]
         self.table = tbl
-        self.inverse = np.empty(self.order, dtype=np.int32)
-        for i, p in enumerate(self.elements):
-            self.inverse[i] = self.index[perm_inv(p)]
+        self.inverse = np.nonzero(tbl == self.identity)[1].astype(np.int32)
         self._orders: list[int] | None = None
         self._derived: list[int] | None = None
         self._classes: list[list[int]] | None = None
@@ -196,53 +212,63 @@ class FinGroup:
     def exponent(self) -> int:
         return lcm(*self.element_orders()) if self.order > 1 else 1
 
-    def subgroup_closure(self, generators) -> set[int]:
-        seen = {self.identity}
-        frontier = [self.identity]
-        gens = [g for g in generators]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
-
-    def generating(self, h1, h2) -> np.ndarray:
-        """Mask of the pairs (h1[i], h2[i]) that generate G.
+    def closure(self, *gens) -> np.ndarray:
+        """Masks of the subgroups generated by (gens[0][i], gens[1][i], ...), one row per i.
 
         All subgroups grow together, one right multiplication by each
-        generator per round, until no row grows.  For one pair the walk of
-        `generates` is faster.
+        generator per round, until no row grows.
+        """
+        gens = [np.atleast_1d(g) for g in gens]
+        rows = gens[0].size
+        chunk = max(1, 2**20 // self.order)  # about 10 MB of arrays per round
+        if rows > chunk:
+            return np.concatenate(
+                [self.closure(*(g[i : i + chunk] for g in gens)) for i in range(0, rows, chunk)]
+            )
+        # y is in seen h iff y h^-1 is in seen
+        back = [self.table[:, self.inverse[g]].T for g in gens]
+        seen = np.zeros((rows, self.order), dtype=bool)
+        seen[:, self.identity] = True
+        while True:
+            grown = seen.copy()
+            for b in back:
+                grown |= np.take_along_axis(seen, b, 1)
+            if np.array_equal(grown, seen):
+                return seen
+            seen = grown
+
+    def generating(self, *gens) -> np.ndarray:
+        """Mask of the generator rows (gens[0][i], gens[1][i], ...) that generate G."""
+        return self.closure(*gens).all(axis=1)
+
+    def extend_pair(self, h1, h2) -> tuple[np.ndarray, np.ndarray]:
+        """The homomorphisms G -> G with pair -> (h1[i], h2[i]), along the Cayley tree.
+
+        Returns the mask of the rows that extend and, for those rows only,
+        the maps as index arrays.  Row i defines f(p * g) = f(p) * f(g) down
+        the tree and extends iff f(x * g_j) = f(x) * h_j on every Cayley edge.
         """
         h1, h2 = np.atleast_1d(h1), np.atleast_1d(h2)
         chunk = max(1, 2**20 // self.order)  # about 10 MB of arrays per round
         if h1.size > chunk:
-            return np.concatenate(
-                [self.generating(h1[i : i + chunk], h2[i : i + chunk]) for i in range(0, h1.size, chunk)]
-            )
-        # y is in seen h iff y h^-1 is in seen
-        back = [self.table[:, self.inverse[h]].T for h in (h1, h2)]
-        seen = np.zeros((h1.size, self.order), dtype=bool)
-        seen[:, self.identity] = True
-        while True:
-            grown = seen | np.take_along_axis(seen, back[0], 1) | np.take_along_axis(seen, back[1], 1)
-            if np.array_equal(grown, seen):
-                return seen.all(axis=1)
-            seen = grown
-
-    def generates(self, pair) -> bool:
-        return len(self.subgroup_closure(pair)) == self.order
+            parts = [self.extend_pair(h1[i : i + chunk], h2[i : i + chunk]) for i in range(0, h1.size, chunk)]
+            return np.concatenate([ok for ok, _ in parts]), np.concatenate([f for _, f in parts])
+        images = np.stack([h1, h2])
+        f = np.empty((h1.size, self.order), dtype=np.int32)
+        f[:, self.identity] = self.identity
+        for elems, parents, gens in self._tree:
+            f[:, elems] = self.table[f[:, parents], images[gens].T]
+        ok = np.ones(h1.size, dtype=bool)
+        for right, h in zip(self._right, images):
+            ok &= (f[:, right] == self.table[f, h[:, None]]).all(axis=1)
+        return ok, f[ok]
 
     def derived_subgroup(self) -> list[int]:
         """G' as a sorted index list: generated by the conjugacy class of [g1, g2]."""
         if self._derived is None:
             c = self.commutator_elem(self.g1, self.g2)
             c_class = next(k for k in self.conjugacy_classes() if c in k)
-            self._derived = sorted(self.subgroup_closure(c_class))
+            self._derived = np.flatnonzero(self.closure(*c_class)[0]).tolist()
         return self._derived
 
     @property
@@ -308,35 +334,6 @@ class Endo:
         return len(set(self.mapping)) == self.group.order
 
 
-def hom_extends(G: FinGroup, pair, images) -> Endo | None:
-    """The homomorphism G -> G with pair -> images, when one exists.
-
-    Graph-subgroup criterion: close Delta = <(pair_i, images_i)> in G x G;
-    the assignment extends iff Delta meets {1} x G trivially, equivalently
-    iff |Delta| = |G| (the first projection is onto since pair generates).
-    """
-    seen = {(G.identity, G.identity)}
-    frontier = [(G.identity, G.identity)]
-    gens = list(zip(pair, images))
-    while frontier:
-        nxt = []
-        for a, b in frontier:
-            for ga, gb in gens:
-                pt = (G.mul(a, ga), G.mul(b, gb))
-                if pt not in seen:
-                    if len(seen) >= G.order:
-                        return None  # |Delta| > |G|: not a graph
-                    seen.add(pt)
-                    nxt.append(pt)
-        frontier = nxt
-    if len(seen) != G.order:
-        return None
-    mapping = [0] * G.order
-    for a, b in seen:
-        mapping[a] = b
-    return Endo(G, mapping)
-
-
 def outer_representatives(G: FinGroup, reps) -> list[Endo]:
     """One automorphism per coset of Inn(G) in Aut(G), read off the class list.
 
@@ -346,7 +343,8 @@ def outer_representatives(G: FinGroup, reps) -> list[Endo]:
     whose representative is the image of a homomorphism from G.pair; each
     such map is onto, hence an automorphism.
     """
-    out = [endo for endo in (hom_extends(G, G.pair, rep) for rep in reps) if endo is not None]
+    h1, h2 = np.array(reps, dtype=np.intp).reshape(-1, 2).T
+    out = [Endo(G, f) for f in G.extend_pair(h1, h2)[1]]
     if not all(endo.is_bijective for endo in out):
         raise RuntimeError("outer representative is not a bijection")
     return out
@@ -366,7 +364,7 @@ class ModuleCtx:
             raise HypothesisError("module structure requires a metabelian group")
         self.group = group
         self.pair = pair if pair is not None else group.pair
-        if not group.generates(self.pair):
+        if not group.generating(*self.pair)[0]:
             raise HypothesisError("pair does not generate the group")
         g1, g2 = self.pair
         m = lcm(group.ab_order(g1), group.ab_order(g2))
@@ -556,17 +554,21 @@ def ia_descend(mc: ModuleCtx, r: tuple[RingElem, RingElem]) -> Endo:
     """The endomorphism g_i -> c^(r_i) g_i of G induced by gamma_r.
 
     IA-endomorphisms stabilize every kernel, so the extension always exists;
-    a NoHom outcome is a hard invariant violation, not an error state.
+    a NoHom outcome is a hard invariant violation, not an error state.  The
+    map extends along the group's Cayley tree, so `mc` must be built on
+    `G.pair`.
     """
-    g1, g2 = mc.pair
-    h1 = mc.group.mul(mc.module_evaluate(r[0], mc.c), g1)
-    h2 = mc.group.mul(mc.module_evaluate(r[1], mc.c), g2)
-    endo = hom_extends(mc.group, mc.pair, (h1, h2))
-    if endo is None:
+    G = mc.group
+    if tuple(mc.pair) != G.pair:
+        raise ValueError("IA-descent extends from the group's own generating pair")
+    h1 = G.mul(mc.module_evaluate(r[0], mc.c), G.g1)
+    h2 = G.mul(mc.module_evaluate(r[1], mc.c), G.g2)
+    ok, maps = G.extend_pair(h1, h2)
+    if not ok[0]:
         raise InvariantViolation(
-            f"IA-descent failed on {mc.group} for r = ({r[0]}, {r[1]})"
+            f"IA-descent failed on {G} for r = ({r[0]}, {r[1]})"
         )
-    return endo
+    return Endo(G, maps[0])
 
 
 def inertia_relation_check(mc: ModuleCtx, ideal: IdealBasis) -> bool:

@@ -29,6 +29,7 @@ from .errors import InvariantViolation
 from .grpring import RingCtx, RingElem, _mult_matrix, monomial_part, try_invert
 from .magnus import (
     MagnusElem,
+    _cache,
     conj,
     derived_elem,
     enumerate_w,
@@ -177,13 +178,10 @@ def find_conjugator(e: IAEndo) -> MagnusElem | None:
     y1, y2 = e.images()
     m2 = ctx.m * ctx.m
     basis = lambda_basis(ctx)
+    solver = _cache(ctx.n, ctx.m).conj_solver
     one = ctx.one()
     a1m1 = ctx.monomial(1, 0) - one
     a2m1 = ctx.monomial(0, 1) - one
-    # conj_w(x_i).b = a_w * t_i + (1 - a_i) * w.b ; unknown w.b = sigma(v).b + lattice part
-    u1, u2 = _mult_matrix(-a1m1), _mult_matrix(-a2m1)
-    b1, b2 = basis[:, :m2].T, basis[:, m2:].T
-    A = np.vstack([u1 @ b1, u1 @ b2, u2 @ b1, u2 @ b2]) % ctx.n
     for v1 in range(ctx.m):
         for v2 in range(ctx.m):
             a_w = ctx.monomial(v1, v2)
@@ -195,7 +193,7 @@ def find_conjugator(e: IAEndo) -> MagnusElem | None:
             rhs = np.concatenate(
                 [rhs1_b1.vec(), rhs1_b2.vec(), rhs2_b1.vec(), rhs2_b2.vec()]
             )
-            sol = linalg.solve(A, rhs, ctx.n)
+            sol = solver.solve(rhs)
             if sol is None:
                 continue
             lam = (sol @ basis) % ctx.n

@@ -159,29 +159,7 @@ def enumerate_span(H: np.ndarray, N: int, ncols: int | None = None):
 
 def solve(A, b, N: int) -> np.ndarray | None:
     """A particular solution x of A @ x = b mod N, or None."""
-    A = np.atleast_2d(np.asarray(A, dtype=np.int64)) % N
-    b = np.asarray(b, dtype=np.int64) % N
-    nrows, nunk = A.shape
-    aug = np.hstack([A.T, np.eye(nunk, dtype=np.int64)])
-    H = howell(aug, N)
-    residue = b.copy()
-    x = np.zeros(nunk, dtype=np.int64)
-    for row in H:
-        col = int(np.nonzero(row)[0][0])
-        if col >= nrows:
-            break
-        a = int(residue[col])
-        if a == 0:
-            continue
-        d = int(row[col])
-        if a % d:
-            return None
-        q = a // d
-        residue = (residue - q * row[:nrows]) % N
-        x = (x + q * row[nrows:]) % N
-    if residue.any():
-        return None
-    return x
+    return SpanSolver(np.atleast_2d(np.asarray(A, dtype=np.int64)).T, N).solve(b)
 
 
 def kernel(A, N: int) -> np.ndarray:

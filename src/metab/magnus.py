@@ -20,7 +20,7 @@ preferring a pure kappa witness when one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -178,6 +178,23 @@ class _CtxCache:
         # row v1*m + v2: T-part of section(v); the A-exponents in that order
         self.exponents = np.array([(v1, v2) for v1 in range(m) for v2 in range(m)])
         self.sections = np.array([section(ctx, tuple(v)).bvec() for v in self.exponents])
+
+    @cached_property
+    def conj_solver(self) -> linalg.SpanSolver:
+        """Solver for the T-part of a conjugator, one column block per equation.
+
+        conj_w(x_i).b = a_w * t_i + (1 - a_i) * w.b, and w.b ranges over a
+        section plus the lattice Lambda_0; the unknown is the lattice part.
+        """
+        ctx = self.ctx
+        one = ctx.one()
+        u1 = _mult_matrix(one - ctx.monomial(1, 0))
+        u2 = _mult_matrix(one - ctx.monomial(0, 1))
+        basis = self.lambda_solver.basis()
+        m2 = ctx.m * ctx.m
+        b1, b2 = basis[:, :m2].T, basis[:, m2:].T
+        A = np.vstack([u1 @ b1, u1 @ b2, u2 @ b1, u2 @ b2]) % ctx.n
+        return linalg.SpanSolver(A.T, ctx.n)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,11 @@
-"""Brute-force Aut(G) and Inn(G), kept as a test reference.
+"""Brute-force group data, Aut(G) and Inn(G), kept as a test reference.
+
+`product_table` and `inverse_table` fill the multiplication table and the
+inverses with one permutation product per entry; `subgroup_closure` walks
+a subgroup from its generators and `generates` compares its size with |G|;
+`hom_extends` decides whether a map on generators extends by closing its
+graph in G x G.  `FinGroup` reads the same data off its Cayley tree
+instead, and is tested against these.
 
 `automorphism_group` enumerates every automorphism by trying all candidate
 image pairs of the generators; `inner_automorphism` is conjugation by one
@@ -8,7 +15,73 @@ Inn(G), and `inner_order` is |Inn(G)| = |G|/|Z(G)|.
 instead, is tested against these.
 """
 
-from metab.fingrp import Endo, FinGroup, hom_extends
+import numpy as np
+
+from metab.fingrp import Endo, FinGroup, Perm, perm_mul
+
+
+def perm_inv(p: Perm) -> Perm:
+    out = [0] * len(p)
+    for i, x in enumerate(p):
+        out[x] = i
+    return tuple(out)
+
+
+def product_table(G: FinGroup) -> np.ndarray:
+    """table[i, j] = index of elements[i] * elements[j], one `perm_mul` per entry."""
+    return np.array([[G.index[perm_mul(p, q)] for q in G.elements] for p in G.elements])
+
+
+def inverse_table(G: FinGroup) -> np.ndarray:
+    return np.array([G.index[perm_inv(p)] for p in G.elements])
+
+
+def subgroup_closure(G: FinGroup, generators) -> set[int]:
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in generators:
+                y = G.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return seen
+
+
+def generates(G: FinGroup, pair) -> bool:
+    return len(subgroup_closure(G, pair)) == G.order
+
+
+def hom_extends(G: FinGroup, pair, images) -> Endo | None:
+    """The homomorphism G -> G with pair -> images, when one exists.
+
+    Graph-subgroup criterion: close Delta = <(pair_i, images_i)> in G x G;
+    the assignment extends iff Delta meets {1} x G trivially, equivalently
+    iff |Delta| = |G| (the first projection is onto since pair generates).
+    """
+    seen = {(G.identity, G.identity)}
+    frontier = [(G.identity, G.identity)]
+    gens = list(zip(pair, images))
+    while frontier:
+        nxt = []
+        for a, b in frontier:
+            for ga, gb in gens:
+                pt = (G.mul(a, ga), G.mul(b, gb))
+                if pt not in seen:
+                    if len(seen) >= G.order:
+                        return None  # |Delta| > |G|: not a graph
+                    seen.add(pt)
+                    nxt.append(pt)
+        frontier = nxt
+    if len(seen) != G.order:
+        return None
+    mapping = [0] * G.order
+    for a, b in seen:
+        mapping[a] = b
+    return Endo(G, mapping)
 
 
 def class_size(G: FinGroup, i: int) -> int:
@@ -39,7 +112,7 @@ def automorphism_group(G: FinGroup) -> list[Endo]:
     out = []
     for h1 in cands1:
         for h2 in cands2:
-            if not G.generates((h1, h2)):
+            if not generates(G, (h1, h2)):
                 continue
             endo = hom_extends(G, G.pair, (h1, h2))
             if endo is not None:

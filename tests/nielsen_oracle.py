@@ -1,6 +1,6 @@
 """Brute-force epimorphism classes and moves, kept as a test reference.
 
-`epi_classes` tests every pair of G for generation (`FinGroup.generates`,
+`epi_classes` tests every pair of G for generation (`fingrp_oracle.generates`,
 one closure walk per pair) and brings each generating pair to its
 lexicographically least simultaneous conjugate by scanning all of G
 (`canonical_pair`); `act` applies a move to a pair and scans again.  `nielsen.ActionTable`, which reads the canonical
@@ -9,6 +9,7 @@ form off the conjugation table instead, is tested against these.
 
 from math import gcd
 
+from fingrp_oracle import generates
 from metab.fingrp import FinGroup
 
 
@@ -29,7 +30,7 @@ def epi_classes(G: FinGroup) -> list[tuple[int, int]]:
         canonical_pair(G, (h1, h2))
         for h1 in range(G.order)
         for h2 in range(G.order)
-        if G.generates((h1, h2))
+        if generates(G, (h1, h2))
     }
     return sorted(reps)
 

@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.combinatorics import Permutation, PermutationGroup
 
-from fingrp_oracle import automorphism_group, inner_automorphism, inner_cosets, inner_order
+from fingrp_oracle import (
+    automorphism_group,
+    hom_extends,
+    inner_automorphism,
+    inner_cosets,
+    inner_order,
+    inverse_table,
+    product_table,
+)
 from metab import linalg
 from metab.catalog import builtin_groups, builtin_names, get_group, group_entry, load_group_dict
 from metab.errors import HypothesisError, InvariantViolation
@@ -19,7 +27,6 @@ from metab.fingrp import (
     IdealBasis,
     ModuleCtx,
     group_make,
-    hom_extends,
     ia_descend,
     inertia_relation_check,
     kernel_ideal,
@@ -196,6 +203,41 @@ def test_hom_extends_agrees_with_naive_check():
             assert (endo is not None) == ok
 
 
+@pytest.mark.parametrize("name", builtin_names())
+def test_table_and_inverse_match_permutation_products(name):
+    G = get_group(name)
+    assert np.array_equal(G.table, product_table(G))
+    assert np.array_equal(G.inverse, inverse_table(G))
+
+
+def extensions_checked_against_walk(G, h1, h2) -> np.ndarray:
+    """extend_pair on one batch, each row checked against the G x G walk; the mask."""
+    ok, maps = G.extend_pair(np.array(h1), np.array(h2))
+    walks = [hom_extends(G, G.pair, (int(a), int(b))) for a, b in zip(h1, h2)]
+    assert ok.tolist() == [w is not None for w in walks]
+    assert [tuple(f) for f in maps.tolist()] == [w.mapping for w in walks if w is not None]
+    return ok
+
+
+def test_extend_pair_matches_graph_walk_on_every_pair():
+    verdicts = set()
+    for name, G in sorted(builtin_groups().items()):
+        if G.order <= 24:
+            pairs = list(itertools.product(range(G.order), repeat=2))
+            ok = extensions_checked_against_walk(G, *zip(*pairs))
+            assert ok[pairs.index(G.pair)]
+            verdicts.update(ok.tolist())
+    assert verdicts == {True, False}
+
+
+def test_extend_pair_matches_graph_walk_on_class_representatives():
+    verdicts = set()
+    for name in ["Heis27", "C7C3", "Z8xZ8"]:
+        G = get_group(name)
+        verdicts.update(extensions_checked_against_walk(G, *zip(*class_reps(G))).tolist())
+    assert verdicts == {True, False}
+
+
 def class_reps(G):
     return epi_classes(G)
 
@@ -257,6 +299,13 @@ def test_ia_descend_examples():
     # r = (0, 1) is conjugation by g1
     endo = ia_descend(mc, (z, mc.ring.one()))
     assert endo == inner_automorphism(G, mc.pair[0])
+
+
+def test_ia_descend_needs_the_group_pair():
+    G = get_group("S3")
+    mc = ModuleCtx(G, (G.g2, G.g1))
+    with pytest.raises(ValueError):
+        ia_descend(mc, (mc.ring.zero(), mc.ring.zero()))
 
 
 def test_ia_descend_acts_by_determinant_on_derived():
