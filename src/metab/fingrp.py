@@ -15,13 +15,22 @@ defines f(p * g_i) = f(p) * h_i down the tree for a batch of image pairs
 (h1, h2) and keeps the rows where f(x * g_i) = f(x) * h_i holds on all 2|G|
 Cayley edges: exactly the homomorphisms G -> G.  `outer_representatives`
 reads Out(G) off the classes of generating pairs with one such batch,
-without enumerating Aut(G).  `FinGroup.closure` is the one subgroup closure.
+without enumerating Aut(G), and returns the automorphisms as the rows of
+one index array.  `FinGroup.closure` is the one subgroup closure.
+`FinGroup.powers` is the power table powers[g, k] = g^k for 0 <= k < exp(G),
+filled one column per gather; `FinGroup.power` reads it.
 
-A `ModuleCtx` equips a metabelian group with the R(n, m)-module structure
-on G' (m = exponent of G^ab, n = exponent of G'), through which the
+A metabelian group has one module structure: the ring R(n, m) with
+m = exponent of G^ab and n = exponent of G' belongs to G, and each
+generating pair (h1, h2) lets a1^i a2^j act on G' by conjugation with
+h1^i h2^j.  `module_power` evaluates w^r in that structure for a whole
+array of pairs at once, one gather per monomial, so the action on every
+class of generating pairs is one call.  A `ModuleCtx` holds the ring and
+checks, once, that x^m centralizes G' for every x in G, which makes the
+action well defined for every pair.  Through the group's own pair the
 IA-calculus descends to G:
 
-  * `module_evaluate` computes w^r for r in the truncated group algebra;
+  * `ModuleCtx.module_evaluate` is the one-row case of `module_power`;
   * `kernel_ideal` computes I = {r : c^r = 1} for c = [g1, g2];
   * `ia_descend` builds the endomorphism g_i -> c^(r_i) g_i, which theory
     says always exists (a failure raises InvariantViolation);
@@ -181,17 +190,17 @@ class FinGroup:
     def commutator_elem(self, i: int, j: int) -> int:
         return self.mul(self.mul(i, j), self.mul(self.inv(i), self.inv(j)))
 
+    @cached_property
+    def powers(self) -> np.ndarray:
+        """powers[g, k] = g^k for 0 <= k < exp(G), one gather per column."""
+        out = np.empty((self.order, self.exponent), dtype=np.int32)
+        out[:, 0] = self.identity
+        for k in range(1, self.exponent):
+            out[:, k] = self.table[out[:, k - 1], np.arange(self.order)]
+        return out
+
     def power(self, i: int, k: int) -> int:
-        if k < 0:
-            return self.power(self.inv(i), -k)
-        acc = self.identity
-        base = i
-        while k:
-            if k & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return acc
+        return int(self.powers[i, k % self.exponent])
 
     def element_order(self, i: int) -> int:
         return self.element_orders()[i]
@@ -208,7 +217,7 @@ class FinGroup:
             self._orders = orders
         return self._orders
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return lcm(*self.element_orders()) if self.order > 1 else 1
 
@@ -314,93 +323,73 @@ def group_make(degree: int, g1, g2) -> FinGroup:
     return FinGroup(degree, tuple(g1), tuple(g2))
 
 
-class Endo:
-    """Endomorphism of a FinGroup as a full index mapping."""
-
-    __slots__ = ("group", "mapping")
-
-    def __init__(self, group: FinGroup, mapping):
-        self.group = group
-        self.mapping = tuple(int(x) for x in mapping)
-
-    def __eq__(self, other):
-        return isinstance(other, Endo) and self.mapping == other.mapping
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
-
-    @property
-    def is_bijective(self) -> bool:
-        return len(set(self.mapping)) == self.group.order
-
-
-def outer_representatives(G: FinGroup, reps) -> list[Endo]:
+def outer_representatives(G: FinGroup, reps) -> np.ndarray:
     """One automorphism per coset of Inn(G) in Aut(G), read off the class list.
 
     `reps` are the representatives of the generating pairs of G up to
     simultaneous conjugation.  Aut(G) acts freely on generating pairs, so
     sigma -> class of sigma(G.pair) maps Out(G) bijectively onto the classes
     whose representative is the image of a homomorphism from G.pair; each
-    such map is onto, hence an automorphism.
+    such map is onto, hence an automorphism.  Returns the maps as the rows
+    of a (|Out(G)|, |G|) index array.
     """
     h1, h2 = np.array(reps, dtype=np.intp).reshape(-1, 2).T
-    out = [Endo(G, f) for f in G.extend_pair(h1, h2)[1]]
-    if not all(endo.is_bijective for endo in out):
+    maps = G.extend_pair(h1, h2)[1]
+    if not (np.sort(maps, axis=1) == np.arange(G.order)).all():
         raise RuntimeError("outer representative is not a bijection")
-    return out
+    return maps
+
+
+def module_power(G: FinGroup, r: RingElem, w, h1, h2) -> np.ndarray:
+    """w[i]^r in the module structure of the pair (h1[i], h2[i]), for every row i.
+
+    The monomial a1^i a2^j acts on G' by conjugation with h1^i h2^j, so
+    w^r = prod over (i, j) of (h1^i h2^j) w^(r_ij) (h1^i h2^j)^-1; one
+    gather through `powers` and `conj_table` per monomial.
+    """
+    e = G.exponent
+    w, h1, h2 = np.broadcast_arrays(*(np.asarray(x, dtype=np.intp) for x in (w, h1, h2)))
+    acc = np.full(w.shape, G.identity, dtype=np.intp)
+    for (i, j), cij in np.ndenumerate(r.coeffs):
+        if cij:
+            by = G.table[G.powers[h1, i % e], G.powers[h2, j % e]]
+            acc = G.table[acc, G.conj_table[by, G.powers[w, cij % e]]]
+    return acc
 
 
 class ModuleCtx:
     """R(n, m)-module structure on G' with m = exp(G^ab), n = exp(G').
 
-    The monomial a1^i a2^j acts on w in G' by conjugation with g1^i g2^j;
-    well-definedness (independence of the exponent representatives) is
-    checked on construction.  For abelian G the ring modulus is floored at 2
-    so the degenerate exp(G') = 1 still yields a valid (trivial) module.
+    The ring depends on G alone; each generating pair (h1, h2) gives G' a
+    module structure, a1^i a2^j acting by conjugation with h1^i h2^j
+    (`module_power`).  That is well defined on exponents mod m because x^m
+    centralizes G' for every x in G, which is checked on construction.  For
+    abelian G the ring modulus is floored at 2 so the degenerate
+    exp(G') = 1 still yields a valid (trivial) module.
     """
 
-    def __init__(self, group: FinGroup, pair: tuple[int, int] | None = None):
+    def __init__(self, group: FinGroup):
         if not group.is_metabelian:
             raise HypothesisError("module structure requires a metabelian group")
         self.group = group
-        self.pair = pair if pair is not None else group.pair
-        if not group.generating(*self.pair)[0]:
-            raise HypothesisError("pair does not generate the group")
-        g1, g2 = self.pair
-        m = lcm(group.ab_order(g1), group.ab_order(g2))
+        m = lcm(group.ab_order(group.g1), group.ab_order(group.g2))
         n = group.derived_exponent()
         self.ring = ring_make(max(n, 2), max(m, 2))
-        self.c = group.commutator_elem(g1, g2)
+        self.c = group.commutator_elem(group.g1, group.g2)
         self.derived = group.derived_subgroup()
         self._derived_set = set(self.derived)
-        m_eff = self.ring.m
-        self._conjugators = {}
-        for i in range(m_eff):
-            for j in range(m_eff):
-                u = group.mul(group.power(g1, i), group.power(g2, j))
-                self._conjugators[(i, j)] = u
-        # action factors through exponents mod m: g_i^m conjugates G' trivially
-        for g in (group.power(g1, m_eff), group.power(g2, m_eff)):
-            for w in self.derived:
-                if group.conj(w, g) != w:
-                    raise InvariantViolation("module action not well-defined mod m")
+        der = np.array(self.derived)
+        x_m = group.powers[:, self.ring.m % group.exponent]
+        if not (group.conj_table[x_m[:, None], der] == der).all():
+            raise InvariantViolation("module action not well-defined mod m")
 
     def module_evaluate(self, r: RingElem, w: int) -> int:
-        """w^r = prod over monomials (i,j) of (g1^i g2^j) w^c_ij (g1^i g2^j)^-1."""
+        """w^r in the module structure of the group's own pair."""
         if r.ctx != self.ring:
             raise ValueError("ring context mismatch")
         if w not in self._derived_set:
             raise ValueError("element is not in the derived subgroup")
-        G = self.group
-        acc = G.identity
-        for i in range(self.ring.m):
-            for j in range(self.ring.m):
-                cij = int(r.coeffs[i, j])
-                if cij == 0:
-                    continue
-                term = G.conj(G.power(w, cij), self._conjugators[(i, j)])
-                acc = G.mul(acc, term)
-        return acc
+        return int(module_power(self.group, r, w, self.group.g1, self.group.g2))
 
 
 class AbelianStructure:
@@ -550,17 +539,13 @@ def solve_commutator_power(mc: ModuleCtx, target: int) -> RingElem | None:
     return s
 
 
-def ia_descend(mc: ModuleCtx, r: tuple[RingElem, RingElem]) -> Endo:
-    """The endomorphism g_i -> c^(r_i) g_i of G induced by gamma_r.
+def ia_descend(mc: ModuleCtx, r: tuple[RingElem, RingElem]) -> np.ndarray:
+    """The endomorphism g_i -> c^(r_i) g_i of G induced by gamma_r, as an index map.
 
     IA-endomorphisms stabilize every kernel, so the extension always exists;
-    a NoHom outcome is a hard invariant violation, not an error state.  The
-    map extends along the group's Cayley tree, so `mc` must be built on
-    `G.pair`.
+    a NoHom outcome is a hard invariant violation, not an error state.
     """
     G = mc.group
-    if tuple(mc.pair) != G.pair:
-        raise ValueError("IA-descent extends from the group's own generating pair")
     h1 = G.mul(mc.module_evaluate(r[0], mc.c), G.g1)
     h2 = G.mul(mc.module_evaluate(r[1], mc.c), G.g2)
     ok, maps = G.extend_pair(h1, h2)
@@ -568,7 +553,7 @@ def ia_descend(mc: ModuleCtx, r: tuple[RingElem, RingElem]) -> Endo:
         raise InvariantViolation(
             f"IA-descent failed on {G} for r = ({r[0]}, {r[1]})"
         )
-    return Endo(G, maps[0])
+    return maps[0]
 
 
 def inertia_relation_check(mc: ModuleCtx, ideal: IdealBasis) -> bool:
@@ -579,9 +564,8 @@ def inertia_relation_check(mc: ModuleCtx, ideal: IdealBasis) -> bool:
     is expected to hold always.
     """
     G = mc.group
-    g1 = mc.pair[0]
-    d = G.ab_order(g1)
-    target = G.power(g1, d)
+    d = G.ab_order(G.g1)
+    target = G.power(G.g1, d)
     s = solve_commutator_power(mc, target)
     if s is None:
         raise InvariantViolation("g1^d is not a module power of the commutator")

@@ -36,9 +36,10 @@ from math import gcd, prod
 
 import numpy as np
 
+from . import linalg
 from .errors import InvariantViolation
-from .fingrp import FinGroup, outer_representatives, perm_orbits
-from .grpring import _factor_prime_powers
+from .fingrp import FinGroup, ModuleCtx, module_power, outer_representatives, perm_orbits
+from .grpring import _factor_prime_powers, try_invert
 
 M_S = ((0, -1), (1, 0))
 M_T = ((1, 0), (1, 1))
@@ -146,10 +147,7 @@ class ActionTable:
         self.perm_s = self.class_of(h2, G.inverse[h1])
         self.perm_t = self.class_of(G.table[h2, h1], h2)
         self.units = _units(self.e)
-        powers = [np.full_like(h2, G.identity)]  # powers[k] = h2^k
-        for _ in range(self.e):
-            powers.append(G.table[powers[-1], h2])
-        self.perm_u = {u: self.class_of(h1, powers[u]) for u in self.units}
+        self.perm_u = {u: self.class_of(h1, G.powers[h2, u % self.e]) for u in self.units}
 
     def __len__(self):
         return len(self.classes)
@@ -218,10 +216,12 @@ def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
     which forces det_c(beta_u) = u modulo monomials.  On a class (h1, h2)
     it acts through the pair's own module structure:
 
-        (h1, h2) -> (c^(r1) h1, c^(r2 * (1 + ... + a2^(u-1))) h2^u).
+        (h1, h2) -> (c^(r1) h1, c^(r2 * (1 + ... + a2^(u-1))) h2^u),  c = [h1, h2].
 
-    Homomorphy in u is asserted; failures would falsify the finite-level
-    braid section and must surface.
+    The ring and the system for r belong to G, so the system is reduced
+    once (`SpanSolver`), and per unit one solve and two `module_power`
+    calls move every class at once.  Homomorphy in u is asserted; failures
+    would falsify the finite-level braid section and must surface.
     """
     cached = getattr(table, "_braid_perms", None)
     if cached is not None:
@@ -230,18 +230,15 @@ def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
     if G.is_abelian:
         table._braid_perms = dict(table.perm_u)
         return table._braid_perms
-    from . import linalg as _lin
-    from .fingrp import ModuleCtx
-    from .grpring import try_invert
-
-    mcs = [ModuleCtx(G, rep) for rep in table.classes]
-    ring = mcs[0].ring
+    ring = ModuleCtx(G).ring
     one = ring.one()
     v = one - ring.monomial(0, 1)
     w = ring.monomial(1, 0) - one
-    cols = [(mono * v).vec() for mono in ring.monomials()]
-    cols += [(mono * w).vec() for mono in ring.monomials()]
-    A = np.array(cols, dtype=np.int64).T % ring.n
+    gens = [(mono * v).vec() for mono in ring.monomials()]
+    gens += [(mono * w).vec() for mono in ring.monomials()]
+    solver = linalg.SpanSolver(gens, ring.n)
+    h1, h2 = np.array(table.classes).T
+    c = G.table[G.table[h1, h2], G.table[G.inverse[h1], G.inverse[h2]]]
     m2 = ring.m * ring.m
     out: dict[int, np.ndarray] = {}
     for u in table.units:
@@ -250,23 +247,21 @@ def braid_u_perms(table: ActionTable) -> dict[int, np.ndarray]:
         if geom_inv is None:
             raise InvariantViolation(f"1 + a2 + ... + a2^{u - 1} is not a unit")
         delta = (u % ring.n) * geom_inv
-        sol = _lin.solve(A, (delta - one).vec(), ring.n)
+        sol = solver.solve((delta - one).vec())
         if sol is None:
             raise InvariantViolation("braid determinant equation is unsolvable")
         r1 = ring.elem(sol[:m2].reshape(ring.m, ring.m))
         r2_geom = ring.elem(sol[m2:].reshape(ring.m, ring.m)) * geom
-        moved = [
-            (G.mul(mc.module_evaluate(r1, mc.c), h1),
-             G.mul(mc.module_evaluate(r2_geom, mc.c), G.power(h2, u)))
-            for mc, (h1, h2) in zip(mcs, table.classes)
-        ]
-        out[u] = table.class_of(*zip(*moved))
+        out[u] = table.class_of(
+            G.table[module_power(G, r1, c, h1, h2), h1],
+            G.table[module_power(G, r2_geom, c, h1, h2), G.powers[h2, u % table.e]],
+        )
     ident = np.arange(len(table.classes))
     if not np.array_equal(out[1], ident):
         raise InvariantViolation("braid u-twist at u = 1 is not the identity")
     for u1 in table.units:
         for u2 in table.units:
-            u12 = _unit_rep(table, u1 * u2, table.e)
+            u12 = _unit_rep(table, u1 * u2)
             if not np.array_equal(out[u2][out[u1]], out[u12]):
                 raise InvariantViolation("braid u-twists fail homomorphy")
     table._braid_perms = out
@@ -348,7 +343,7 @@ def stabilizer_mod(
         for u in range(1, e + 1):
             if gcd(u, e) != 1:
                 continue
-            letters.append((f"U{u}", m_u(u % e), u_perms[_unit_rep(table, u, table.e)]))
+            letters.append((f"U{u}", m_u(u % e), u_perms[_unit_rep(table, u)]))
     transversal = {class_idx: IDENT2}
     queue = deque([class_idx])
     schreier = set()
@@ -380,12 +375,9 @@ def stabilizer_mod(
     )
 
 
-def _unit_rep(table: ActionTable, u: int, exp_g: int) -> int:
-    """The table's unit exponent representing u mod exp(G)."""
-    for v in table.units:
-        if v % exp_g == u % exp_g:
-            return v
-    raise KeyError(u)
+def _unit_rep(table: ActionTable, u: int) -> int:
+    """The table's unit exponent representing u mod exp(G): `units` are the units in 1..e."""
+    return (u - 1) % table.e + 1
 
 
 def out_action_on_orbits(
@@ -408,13 +400,11 @@ def out_action_on_orbits(
     # map the smallest member of each orbit, spot-check one more
     spots = np.array([x for orb in orbs for x in orb[:2]])
     h1, h2 = np.array(table.classes)[spots].T
-    perms = []
-    for sigma in outer_representatives(G, table.classes):
-        mapping = np.array(sigma.mapping)
-        moved = orbit_of[table.class_of(mapping[h1], mapping[h2])]
-        images = np.empty(len(orbs), dtype=np.int64)
-        images[orbit_of[spots]] = moved
-        if not np.array_equal(images[orbit_of[spots]], moved):
-            raise InvariantViolation("outer action did not permute orbits")
-        perms.append(images.tolist())
+    maps = outer_representatives(G, table.classes)
+    moved = orbit_of[table.class_of(maps[:, h1], maps[:, h2])]
+    images = np.empty((len(maps), len(orbs)), dtype=np.int64)
+    images[:, orbit_of[spots]] = moved
+    if not np.array_equal(images[:, orbit_of[spots]], moved):
+        raise InvariantViolation("outer action did not permute orbits")
+    perms = images.tolist()
     return perms, len(perm_orbits(perms, len(orbs))) == 1

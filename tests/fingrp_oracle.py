@@ -12,12 +12,30 @@ image pairs of the generators; `inner_automorphism` is conjugation by one
 element; `inner_cosets` folds a list of automorphisms into their cosets of
 Inn(G), and `inner_order` is |Inn(G)| = |G|/|Z(G)|.
 `fingrp.outer_representatives`, which reads Out(G) off the class list
-instead, is tested against these.
+instead, is tested against these.  `Endo` holds one endomorphism as a full
+index mapping.
 """
 
 import numpy as np
 
-from metab.fingrp import Endo, FinGroup, Perm, perm_mul
+from metab.fingrp import FinGroup, Perm, perm_mul
+
+
+class Endo:
+    """Endomorphism of a FinGroup as a full index mapping."""
+
+    __slots__ = ("group", "mapping")
+
+    def __init__(self, group: FinGroup, mapping):
+        self.group = group
+        self.mapping = tuple(int(x) for x in mapping)
+
+    def __eq__(self, other):
+        return isinstance(other, Endo) and self.mapping == other.mapping
+
+    @property
+    def is_bijective(self) -> bool:
+        return len(set(self.mapping)) == self.group.order
 
 
 def perm_inv(p: Perm) -> Perm:
@@ -122,8 +140,8 @@ def automorphism_group(G: FinGroup) -> list[Endo]:
     return out
 
 
-def inner_cosets(G: FinGroup, auts: list[Endo]) -> list[frozenset]:
-    """The distinct cosets a Inn(G) of the given automorphisms, as sets of mappings."""
+def inner_cosets(G: FinGroup, auts) -> list[frozenset]:
+    """The distinct cosets a Inn(G) of the given automorphisms (index mappings), as sets of mappings."""
     inner = {inner_automorphism(G, g).mapping for g in range(G.order)}
-    cosets = {frozenset(tuple(a.mapping[x] for x in i) for i in inner) for a in auts}
+    cosets = {frozenset(tuple(int(a[x]) for x in i) for i in inner) for a in auts}
     return sorted(cosets, key=min)

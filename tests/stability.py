@@ -187,7 +187,7 @@ class StabilityInstance:
 def stability_instance_from_group(mc: ModuleCtx) -> StabilityInstance:
     """The kernel data of (G, pair): I = kernel ideal, d_i = ab-orders, c^(s_i) = g_i^(d_i)."""
     G = mc.group
-    g1, g2 = mc.pair
+    g1, g2 = G.pair
     d1, d2 = G.ab_order(g1), G.ab_order(g2)
     s1 = solve_commutator_power(mc, G.power(g1, d1))
     s2 = solve_commutator_power(mc, G.power(g2, d2))

@@ -2,6 +2,8 @@
 
 import json
 import random
+from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,12 +24,16 @@ from metab.catalog import builtin_groups, get_group
 from metab.fingrp import FinGroup, group_make, outer_representatives
 from metab.nielsen import (
     ActionTable,
+    _unit_rep,
+    _units,
+    braid_u_perms,
     matrix_group_closure,
     orbits,
     out_action_on_orbits,
     stabilizer_mod,
 )
 from nielsen_oracle import act, canonical_pair, epi_classes, move_perms
+from nielsen_oracle import braid_u_perms as braid_oracle
 
 
 def test_epi_class_counts():
@@ -260,14 +266,19 @@ def test_random_two_generated_groups(gens):
     pairs = sum(generates(G, (h1, h2)) for h1 in range(G.order) for h2 in range(G.order))
     assert len(table) * inner_order(G) == pairs
     reps = outer_representatives(G, table.classes)
-    assert len(reps) == len(inner_cosets(G, automorphism_group(G)))
+    assert len(reps) == len(inner_cosets(G, [a.mapping for a in automorphism_group(G)]))
     assert_matches_oracle(G, table)
 
 
 def assert_matches_oracle(G, table):
-    assert table.classes == epi_classes(G)
+    classes = epi_classes(G)
+    assert table.classes == classes
     for letter, perm in move_perms(G, table.units).items():
         assert table.letter_perm(letter).tolist() == perm, letter
+    if G.is_metabelian:
+        braid = braid_u_perms(table)
+        for letter, perm in braid_oracle(G, classes, table.units).items():
+            assert braid[int(letter[1:])].tolist() == perm, letter
 
 
 @pytest.mark.parametrize("name", sorted(builtin_groups()) + ["AGL1_7"])
@@ -277,3 +288,14 @@ def test_classes_and_moves_match_oracle(name):
     else:
         G = get_group(name)
     assert_matches_oracle(G, ActionTable(G))
+
+
+def test_unit_rep_matches_scan():
+    def scan(units, u, e):  # the first unit of 1..e congruent to u mod e
+        return next(v for v in units if v % e == u % e)
+
+    for e in range(1, 61):
+        table = SimpleNamespace(e=e, units=_units(e))
+        for u in range(1, 3 * e + 1):
+            if gcd(u, e) == 1:
+                assert _unit_rep(table, u) == scan(table.units, u, e), (u, e)
